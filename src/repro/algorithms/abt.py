@@ -160,7 +160,7 @@ class AbtAgent(SingleVariableAgent):
 
     def _consistent(self, value: Value) -> bool:
         # Delegating to the store keeps the short-circuit scan (and its
-        # check counting) on the kernel fast path under --store watched.
+        # check counting) in one place for every store backend.
         return self.store.is_consistent(self.view, value)
 
     def _first_consistent_value(self) -> Optional[Value]:

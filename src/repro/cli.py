@@ -78,10 +78,10 @@ def _add_store_option(parser: argparse.ArgumentParser) -> None:
         choices=STORE_BACKENDS,
         default="dict",
         help=(
-            "nogood-store backend: dict (the per-value index), linear "
-            "(unindexed ablation) or watched (the bitset/watched-pair "
-            "kernel). Counted identically, so results are bit-identical; "
-            "only wall-clock changes."
+            "nogood-store backend: dict (the per-value index) or linear "
+            "(the unindexed ablation). Both find the same solutions in "
+            "the same cycles; linear counts the extra checks the index "
+            "saves."
         ),
     )
 
@@ -477,19 +477,10 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
+def _cmd_bench(argv: List[str]) -> int:
     from .experiments.bench import main as bench_main
 
-    forwarded: List[str] = ["--axis", args.axis]
-    if args.jobs is not None:
-        forwarded += ["--jobs", str(args.jobs)]
-    if args.output:
-        forwarded += ["--output", args.output]
-    if args.gate is not None:
-        forwarded.append("--gate")
-        if args.gate:
-            forwarded.append(args.gate)
-    return bench_main(forwarded)
+    return bench_main(argv)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -746,32 +737,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store_option(soak)
     soak.set_defaults(func=_cmd_soak)
 
+    # No arguments of its own: main() hands everything after "bench" to
+    # repro.experiments.bench, whose parser alone decides what is valid.
     bench = sub.add_parser(
         "bench",
+        add_help=False,
         help="smoke benchmarks: trial engine, event engine, lint "
-        "analyzer, nogood-store kernel, interleaving verifier, "
-        "retention subsystem, handler allocation churn (writes "
-        "BENCH_*.json)",
-    )
-    bench.add_argument(
-        "--axis",
-        choices=(
-            "workers", "backend", "lint", "store", "verify", "retention",
-            "alloc",
-        ),
-        default="workers",
-        help="what to compare (see repro.experiments.bench)",
-    )
-    bench.add_argument("--jobs", type=int, default=None)
-    bench.add_argument("--output", default=None, metavar="PATH")
-    bench.add_argument(
-        "--gate",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="BASELINE",
-        help="(--axis store/verify) fail if the axis's throughput metric "
-        "regressed more than 20%% vs the BASELINE report",
+        "analyzer, interleaving verifier, retention subsystem, handler "
+        "allocation churn (writes BENCH_*.json; see 'repro bench --help')",
     )
     bench.set_defaults(func=_cmd_bench)
 
@@ -779,7 +752,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if args.func is _cmd_bench:
+        return _cmd_bench(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     return args.func(args)
 
 

@@ -23,7 +23,6 @@ from .priorities import (
     order_key,
     outranks,
 )
-from .packed import PackedView, PairCodec, encode_assignment, nogood_rest_bits
 from .problem import CSP, AgentId, DisCSP, random_assignment
 from .store import (
     STORE_BACKENDS,
@@ -32,7 +31,6 @@ from .store import (
     NogoodStore,
     store_class_by_name,
 )
-from .watched import WatchedNogoodStore
 from .variables import (
     BOOLEAN_DOMAIN,
     Domain,
@@ -55,9 +53,7 @@ __all__ = [
     "Nogood",
     "NogoodStore",
     "OrderKey",
-    "PackedView",
     "Pair",
-    "PairCodec",
     "ReproError",
     "STORE_BACKENDS",
     "SimulationError",
@@ -67,12 +63,9 @@ __all__ = [
     "Value",
     "VariableId",
     "ViewEntry",
-    "WatchedNogoodStore",
-    "encode_assignment",
     "integer_domain",
     "merge_assignments",
     "nogood_priority_key",
-    "nogood_rest_bits",
     "order_key",
     "outranks",
     "random_assignment",

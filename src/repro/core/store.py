@@ -15,14 +15,13 @@ value ``d`` touches only the bucket for ``d``. Nogoods that do not mention
 the owner (possible in multi-variable extensions) land in an unconditional
 bucket consulted for every candidate.
 
-Three interchangeable backends share this counted API (selected by the
+Two interchangeable backends share this counted API (selected by the
 ``--store`` axis of the experiment harness, see
 :func:`store_class_by_name`):
 
 * :class:`NogoodStore` — the default dict/bucket index;
-* :class:`LinearNogoodStore` — the unindexed ablation baseline;
-* :class:`~repro.core.watched.WatchedNogoodStore` — the bitset kernel with
-  watched-pair indexing (lazy consultation, identical counting).
+* :class:`LinearNogoodStore` — the unindexed ablation baseline (the
+  paper's indexing ablation: same answers, more counted checks).
 """
 
 from __future__ import annotations
@@ -229,10 +228,6 @@ class NogoodStore:
             self._pinned.add(nogood)
         else:
             self._learned_count += 1
-        # Derived indexes (the watched kernel) must exist before the
-        # retention policy runs: a policy may evict the nogood it was just
-        # handed, and remove() dismantles those indexes.
-        self._index_added(nogood)
         if slot is not None:
             self.pin_slot(slot, nogood)
         if self._retention is not None:
@@ -240,10 +235,6 @@ class NogoodStore:
             for victim in victims:
                 self.remove(victim)
         return True
-
-    def _index_added(self, nogood: Nogood) -> None:
-        """Subclass hook: index *nogood* in backend-specific structures."""
-        del nogood
 
     def remove(self, nogood: Nogood) -> bool:
         """Evict *nogood* from the store; returns False if it was absent.
@@ -281,16 +272,11 @@ class NogoodStore:
             self._combined_cache.clear()
         for cache in self._key_caches.values():
             cache.keys.pop(nogood, None)
-        self._index_removed(nogood)
         self._learned_count -= 1
         self.evictions += 1
         if self._retention is not None:
             self._retention.on_remove(nogood)
         return True
-
-    def _index_removed(self, nogood: Nogood) -> None:
-        """Subclass hook: drop *nogood* from backend-specific structures."""
-        del nogood
 
     # -- retention plumbing -------------------------------------------------
 
@@ -593,8 +579,7 @@ class NogoodStore:
         """:meth:`violated` for every candidate value, in order.
 
         Check counting is positionally identical to calling the
-        single-value method in a loop; kernel backends override the
-        single-value methods, so batches amortize their per-call view sync.
+        single-value method in a loop.
         """
         return [self.violated(view, value) for value in values]
 
@@ -673,9 +658,9 @@ class LinearNogoodStore(NogoodStore):
 
 
 #: The store backends selectable via ``--store`` (cf. the ``--backend``
-#: execution-engine axis): the default dict/bucket index, the unindexed
-#: ablation baseline, and the watched/bitset kernel.
-STORE_BACKENDS = ("dict", "linear", "watched")
+#: execution-engine axis): the default dict/bucket index and the unindexed
+#: ablation baseline.
+STORE_BACKENDS = ("dict", "linear")
 
 
 def store_class_by_name(name: str) -> Type[NogoodStore]:
@@ -684,10 +669,6 @@ def store_class_by_name(name: str) -> Type[NogoodStore]:
         return NogoodStore
     if name == "linear":
         return LinearNogoodStore
-    if name == "watched":
-        from .watched import WatchedNogoodStore
-
-        return WatchedNogoodStore
     raise ModelError(
         f"unknown store backend {name!r}; expected one of {STORE_BACKENDS}"
     )

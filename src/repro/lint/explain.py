@@ -116,9 +116,10 @@ EXPLANATIONS: Dict[str, Explanation] = {
     ),
     "R1": Explanation(
         rationale=(
-            "Neighbor state carries a monotonic counter so stale "
-            "messages cannot roll the view backwards. Writing the view "
-            "dict directly bypasses the staleness guard."
+            "AgentView.update/forget bump the priority counter that "
+            "the store's priority-key cache invalidates on. Writing the "
+            "view dict directly skips the bump, so the cache keeps "
+            "serving keys for priorities that have changed."
         ),
         bad="self.view._values[sender] = value",
         good="self.view.update(sender, value, counter)",
@@ -138,7 +139,7 @@ EXPLANATIONS: Dict[str, Explanation] = {
             "Methods named like consultations (violated_*, count_*, "
             "is_*) are called from paths that assume the store is "
             "unchanged afterwards; a mutation hidden inside one "
-            "invalidates watched-literal indexes and replay parity."
+            "breaks check counting and the commutativity matrix."
         ),
         bad="def violated_higher(self, ...): self._cache.clear(); ...",
         good="def violated_higher(self, ...): ...  # read-only; mutate in add()",

@@ -7,10 +7,9 @@ allocation would be noise. This module decides what counts as hot:
 * **Roots** come from two places. Built-in policy: every ``step``/
   ``initialize`` handler on a (transitive) :class:`SimulatedAgent`
   subclass, and every public method of a (transitive) ``NogoodStore``
-  subclass — the batch consultation entry points (``violated_*_batch``),
-  ``for_value`` and the watched-kernel internals included. Committed
-  policy: a ``hotpaths.toml`` next to the tree (seeded from
-  ``repro solve --profile`` cumtime output) adds whole modules and
+  subclass — the batch consultation entry points (``violated_*_batch``)
+  and ``for_value`` included. Committed policy: a ``hotpaths.toml`` next
+  to the tree (seeded from ``repro solve --profile`` cumtime output) adds
   individual ``scope::Qualified.name`` entries.
 * **Closure**: the hot set is the transitive closure of those roots over
   :class:`~repro.lint.graph.ProjectGraph` call edges — bare-name calls
@@ -55,8 +54,6 @@ class HotConfig:
     #: Classes whose subclass closure contributes *every* public method
     #: (the store consultation surface: for_value, violated_*_batch, ...).
     store_classes: Tuple[str, ...] = ("NogoodStore",)
-    #: Repro-relative modules whose every function/method is hot.
-    modules: Tuple[str, ...] = ("core/watched.py", "core/packed.py")
     #: Individual profile-observed roots, as ``scope::Qualified.name``.
     entries: Tuple[str, ...] = ()
 
@@ -67,7 +64,6 @@ class HotConfig:
                 self.agent_classes,
                 self.agent_methods,
                 self.store_classes,
-                self.modules,
                 self.entries,
             )
         )
@@ -113,8 +109,8 @@ def parse_hot_config(text: str) -> HotConfig:
     """Merge a ``hotpaths.toml`` text over the built-in default policy.
 
     Recognised keys, all under ``[hot]`` and all optional:
-    ``agent_classes``, ``agent_methods``, ``store_classes``, ``modules``,
-    ``entries`` — each an array of strings. Unknown keys are ignored so a
+    ``agent_classes``, ``agent_methods``, ``store_classes``, ``entries``
+    — each an array of strings. Unknown keys are ignored so a
     newer toml keeps working with an older checker.
     """
     data = _load_toml(text).get("hot", {})
@@ -129,7 +125,6 @@ def parse_hot_config(text: str) -> HotConfig:
         agent_classes=strings("agent_classes", DEFAULT_CONFIG.agent_classes),
         agent_methods=strings("agent_methods", DEFAULT_CONFIG.agent_methods),
         store_classes=strings("store_classes", DEFAULT_CONFIG.store_classes),
-        modules=strings("modules", DEFAULT_CONFIG.modules),
         entries=strings("entries", DEFAULT_CONFIG.entries),
     )
 
@@ -256,13 +251,6 @@ def compute_hot_set(
         if cls.name in store_names:
             for method in cls.methods.values():
                 add(method, root=True)
-    for module in graph.modules.values():
-        if module.scope in config.modules:
-            for function in module.functions.values():
-                add(function, root=True)
-            for cls in module.classes.values():
-                for method in cls.methods.values():
-                    add(method, root=True)
     for entry in config.entries:
         info = _resolve_entry(graph, entry)
         if info is not None:
@@ -351,11 +339,6 @@ def _method_on(
         if found is not None:
             return found
     return None
-
-
-def hot_modules_of(config: HotConfig) -> Tuple[str, ...]:
-    """The whole-module hot scopes (exported for docs/explain output)."""
-    return config.modules
 
 
 def describe_hot_set(hot: HotSet) -> str:

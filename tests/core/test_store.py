@@ -71,6 +71,15 @@ class TestViolationChecking:
         store.is_violated(nogood, view, 1)
         assert counter.total == 3
 
+    def test_is_consistent_counts_short_circuit_prefix(self):
+        store = NogoodStore(own_variable=0)
+        for peer in (1, 2, 3):
+            store.add(Nogood.of((0, 0), (peer, 1)))
+        view = make_view({2: (1, 0)})  # the second nogood is violated
+        assert store.is_consistent(view, 0) is False
+        # The scan tests nogoods 1 and 2 and stops: two counted checks.
+        assert store.counter.total == 2
+
 
 class TestPriorityClassification:
     def test_nogood_priority_is_lowest_member(self):

@@ -106,7 +106,7 @@ class TestHotConfigParsing:
         )
         # untouched keys keep the built-in policy
         assert config.agent_classes == DEFAULT_CONFIG.agent_classes
-        assert config.modules == DEFAULT_CONFIG.modules
+        assert config.store_classes == DEFAULT_CONFIG.store_classes
 
     def test_multiline_arrays_and_comments(self):
         config = parse_hot_config(
@@ -119,7 +119,7 @@ class TestHotConfigParsing:
         config = parse_hot_config(
             Path("hotpaths.toml").read_text(encoding="utf-8")
         )
-        assert "core/watched.py" in config.modules
+        assert config.store_classes == ("NogoodStore",)
         assert any("AwcAgent" in entry for entry in config.entries)
 
 

@@ -114,26 +114,22 @@ class TestArgumentValidation:
 
 
 class TestBackendParity:
-    def test_watched_soak_identical_to_dict(self):
+    def test_linear_soak_follows_dict(self):
         kwargs = dict(SOAK_KWARGS, episodes=4)
         dict_report = run_soak(policies=("lru",), store="dict", **kwargs)
-        watched_report = run_soak(
-            policies=("lru",), store="watched", **kwargs
-        )
+        linear_report = run_soak(policies=("lru",), store="linear", **kwargs)
         dict_row = dict_report.policies[0]
-        watched_row = watched_report.policies[0]
+        linear_row = linear_report.policies[0]
+        # Same search and the same evictions; linear only counts more.
         assert (
-            watched_row.solved,
-            watched_row.total_cycles,
-            watched_row.total_checks,
-            watched_row.total_maxcck,
-            watched_row.peak_learned,
-            watched_row.evictions,
+            linear_row.solved,
+            linear_row.total_cycles,
+            linear_row.peak_learned,
+            linear_row.evictions,
         ) == (
             dict_row.solved,
             dict_row.total_cycles,
-            dict_row.total_checks,
-            dict_row.total_maxcck,
             dict_row.peak_learned,
             dict_row.evictions,
         )
+        assert linear_row.total_checks >= dict_row.total_checks

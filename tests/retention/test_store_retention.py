@@ -5,12 +5,11 @@ import pytest
 from repro.core.assignment import AgentView
 from repro.core.exceptions import ModelError
 from repro.core.nogood import Nogood
-from repro.core.store import NogoodStore
-from repro.core.watched import WatchedNogoodStore
+from repro.core.store import LinearNogoodStore, NogoodStore
 from repro.retention import NogoodInterner
 from repro.retention.policy import LruPolicy
 
-BACKENDS = (NogoodStore, WatchedNogoodStore)
+BACKENDS = (NogoodStore, LinearNogoodStore)
 
 
 def make_view(entries):
@@ -241,41 +240,3 @@ class TestCacheInvalidationOnRemoval:
         assert cache is not None
         assert nogood not in cache.keys
 
-
-class TestWatchedIndexAfterRemoval:
-    def test_queries_match_dict_after_interleaved_removals(self):
-        nogoods = [
-            Nogood.of((0, 0), (1, 0)),
-            Nogood.of((0, 0), (1, 1), (2, 0)),
-            Nogood.of((0, 1), (2, 1)),
-            Nogood.of((1, 0), (2, 0)),
-            Nogood.of((0, 0), (2, 1)),
-        ]
-        dict_store = NogoodStore(own_variable=0)
-        watched = WatchedNogoodStore(own_variable=0)
-        for store in (dict_store, watched):
-            for nogood in nogoods:
-                store.add(nogood)
-        views = [
-            make_view({1: (0, 2), 2: (0, 1)}),
-            make_view({1: (1, 3), 2: (1, 0)}),
-        ]
-        for victim in (nogoods[1], nogoods[3], nogoods[0]):
-            for store in (dict_store, watched):
-                assert store.remove(victim) is True
-            for view in views:
-                for value in (0, 1):
-                    assert watched.violated(view, value) == dict_store.violated(
-                        view, value
-                    )
-                    assert watched.count_violated(
-                        view, value
-                    ) == dict_store.count_violated(view, value)
-                    assert watched.violated_higher(
-                        view, value, own_priority=0
-                    ) == dict_store.violated_higher(view, value, own_priority=0)
-                    assert watched.count_violated_lower(
-                        view, value, own_priority=9
-                    ) == dict_store.count_violated_lower(
-                        view, value, own_priority=9
-                    )
