@@ -34,17 +34,28 @@ class AgentView:
     Only ever updated from received ``ok?`` messages, so it reflects possibly
     stale information — that staleness is inherent to asynchronous search and
     exactly what nogoods are expressed against.
+
+    Values and priorities live in two plain dicts (``update`` allocates no
+    per-entry object); the nogood store's consultation loop reads them
+    directly. :meth:`entry` builds a :class:`ViewEntry` on demand.
     """
 
-    __slots__ = ("_entries", "priority_version", "__weakref__")
+    __slots__ = ("_values", "_priorities", "priority_version", "priority_stamps")
 
     def __init__(self) -> None:
-        self._entries: Dict[VariableId, ViewEntry] = {}
+        self._values: Dict[VariableId, Value] = {}
+        self._priorities: Dict[VariableId, int] = {}
         #: Bumped whenever some variable's *priority* (not value) changes.
-        #: Consumers that derive priority-dependent data (the nogood store's
-        #: priority-key cache) use this to invalidate cheaply: priorities
-        #: change on backtracks only, far more rarely than values.
+        #: Priorities change on backtracks only, far more rarely than values.
         self.priority_version = 0
+        #: variable -> the ``priority_version`` at which that variable's
+        #: priority last changed, in ascending stamp order (a re-stamped
+        #: variable moves to the end). One slot per variable the view has
+        #: held, so it never grows with run length. The nogood store's
+        #: priority-key cache walks it backwards down to the version it
+        #: last synced at, and drops only the keys of nogoods mentioning a
+        #: variable stamped since.
+        self.priority_stamps: Dict[VariableId, int] = {}
 
     def update(self, variable: VariableId, value: Value, priority: int) -> bool:
         """Record the latest ``(value, priority)`` for *variable*.
@@ -52,32 +63,44 @@ class AgentView:
         Returns True if this changed the view (new variable, new value, or
         new priority).
         """
-        entry = ViewEntry(value, priority)
-        previous = self._entries.get(variable)
-        if previous == entry:
-            return False
-        # An unknown variable reads as priority 0, so only a transition to
-        # or from a non-zero priority is a priority change.
-        old_priority = previous.priority if previous is not None else 0
+        values = self._values
+        priorities = self._priorities
+        if variable in values:
+            old_priority = priorities[variable]
+            if values[variable] == value and old_priority == priority:
+                return False
+        else:
+            # An unknown variable reads as priority 0, so only a transition
+            # to or from a non-zero priority is a priority change.
+            old_priority = 0
         if old_priority != priority:
-            self.priority_version += 1
-        self._entries[variable] = entry
+            self._stamp(variable)
+        values[variable] = value
+        priorities[variable] = priority
         return True
 
     def forget(self, variable: VariableId) -> None:
         """Drop *variable* from the view (ABT uses this when backtracking)."""
-        previous = self._entries.pop(variable, None)
-        if previous is not None and previous.priority != 0:
-            self.priority_version += 1
+        if variable not in self._values:
+            return
+        del self._values[variable]
+        if self._priorities.pop(variable) != 0:
+            self._stamp(variable)
+
+    def _stamp(self, variable: VariableId) -> None:
+        """Record a priority change of *variable* at a new version."""
+        self.priority_version += 1
+        stamps = self.priority_stamps
+        stamps.pop(variable, None)
+        stamps[variable] = self.priority_version
 
     def knows(self, variable: VariableId) -> bool:
         """True if the view holds a value for *variable*."""
-        return variable in self._entries
+        return variable in self._values
 
     def value_of(self, variable: VariableId) -> Optional[Value]:
         """The last known value of *variable*, or None if unknown."""
-        entry = self._entries.get(variable)
-        return entry.value if entry is not None else None
+        return self._values.get(variable)
 
     def priority_of(self, variable: VariableId) -> int:
         """The last known priority of *variable* (0 if unknown).
@@ -86,35 +109,36 @@ class AgentView:
         variable we have never heard from cannot have raised it as far as we
         know.
         """
-        entry = self._entries.get(variable)
-        return entry.priority if entry is not None else 0
+        return self._priorities.get(variable, 0)
 
     def entry(self, variable: VariableId) -> Optional[ViewEntry]:
         """The full entry for *variable*, or None."""
-        return self._entries.get(variable)
+        if variable not in self._values:
+            return None
+        return ViewEntry(self._values[variable], self._priorities[variable])
 
     def items(self) -> Iterator[Tuple[VariableId, Value]]:
         """Iterate ``(variable, value)`` pairs in view insertion order."""
-        return ((var, entry.value) for var, entry in self._entries.items())
+        return iter(self._values.items())
 
     def as_assignment(self) -> Dict[VariableId, Value]:
         """The view as a plain ``{variable: value}`` dictionary (a copy)."""
-        return {var: entry.value for var, entry in self._entries.items()}
+        return dict(self._values)
 
     def variables(self) -> Tuple[VariableId, ...]:
         """The variables currently in the view, in ascending id order."""
-        return tuple(sorted(self._entries))
+        return tuple(sorted(self._values))
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._values)
 
     def __iter__(self) -> Iterator[VariableId]:
-        return iter(self._entries)
+        return iter(self._values)
 
     def __repr__(self) -> str:
         inner = ", ".join(
-            f"x{var}={entry.value!r}@{entry.priority}"
-            for var, entry in sorted(self._entries.items())
+            f"x{var}={value!r}@{self._priorities[var]}"
+            for var, value in sorted(self._values.items())
         )
         return f"AgentView({inner})"
 

@@ -4,7 +4,8 @@ The paper's computational cost measure is the *nogood check*: every test of
 "is this nogood violated under the current view?" counts as one check, and
 ``maxcck`` sums, over cycles, the per-cycle maximum of this count across
 agents. To make that measure impossible to get wrong, every violation test
-goes through :meth:`NogoodStore.is_violated`, which bumps a shared
+goes through the store — :meth:`NogoodStore.is_violated` for one nogood, one
+shared scan for the composite queries — which bumps a shared
 :class:`CheckCounter` that the metrics layer samples once per cycle.
 
 The store indexes nogoods by the value they bind the *owner's* variable to.
@@ -26,7 +27,6 @@ Two interchangeable backends share this counted API (selected by the
 
 from __future__ import annotations
 
-import weakref
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -44,7 +44,7 @@ from typing import (
 from .assignment import AgentView
 from .exceptions import ModelError
 from .nogood import Nogood
-from .priorities import TOP_KEY, OrderKey, order_key
+from .priorities import TOP_KEY, OrderKey
 from .variables import Value, VariableId
 
 if TYPE_CHECKING:  # retention imports core at runtime, not vice versa
@@ -97,16 +97,6 @@ class ReadOnlyBucket(List[Nogood]):
     sort = reverse = __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
 
 
-class _KeyCache:
-    """One view's memoized priority keys, valid for one priority version."""
-
-    __slots__ = ("version", "keys")
-
-    def __init__(self, version: int) -> None:
-        self.version = version
-        self.keys: Dict[Nogood, OrderKey] = {}
-
-
 class NogoodStore:
     """All nogoods relevant to one agent, indexed by the owner's value.
 
@@ -124,7 +114,10 @@ class NogoodStore:
         "_all",
         "_insertion",
         "_combined_cache",
-        "_key_caches",
+        "_key_view",
+        "_keys",
+        "_key_version",
+        "_mentions",
         "key_cache_hits",
         "key_cache_misses",
         "_retention",
@@ -156,15 +149,23 @@ class NogoodStore:
         #: unconditional nogoods allocated a fresh O(bucket) list.
         self._combined_cache: Dict[Value, ReadOnlyBucket] = {}
         # Priority keys depend only on the view's priorities, which change
-        # far more rarely than checks happen; cache per view object (weakly,
-        # so dropped views free their cache) and per priority version.
-        # Keying on the view object itself — not a single latest-view slot —
-        # means algorithms that consult several views, or rebuild views per
-        # cycle, no longer thrash the cache.
-        self._key_caches: "weakref.WeakKeyDictionary[AgentView, _KeyCache]"
-        self._key_caches = weakref.WeakKeyDictionary()
-        #: Cache-effectiveness counters (observational; tests assert the
-        #: hit rate stays high across alternating views).
+        # far more rarely than checks happen. The cache is bound to one view
+        # (an agent consults its own single view) and holds the keys of
+        # stored nogoods as of priority version ``_key_version``. When the
+        # view's version moves on, only the keys of nogoods that mention a
+        # variable whose priority stamp is newer are dropped, found through
+        # the ``_mentions`` reverse index; a different view object rebinds
+        # the cache cold.
+        self._key_view: Optional[AgentView] = None
+        self._keys: Dict[Nogood, OrderKey] = {}
+        self._key_version = 0
+        #: variable -> the stored nogoods that mention it. The owner's
+        #: variable is left out: no priority key depends on its priority.
+        #: Lists, not sets: a small set costs about four times the memory,
+        #: and only eviction pays for the linear removal.
+        self._mentions: Dict[VariableId, List[Nogood]] = {}
+        #: Cache-effectiveness counters (observational): every keyed lookup
+        #: counts as exactly one hit or one miss.
         self.key_cache_hits = 0
         self.key_cache_misses = 0
         # Retention state (see repro.retention). With no policy attached
@@ -215,6 +216,14 @@ class NogoodStore:
             return False
         self._all.add(nogood)
         list.append(self._insertion, nogood)
+        mentions = self._mentions
+        for variable in nogood.variables:
+            if variable != self.own_variable:
+                mentioning = mentions.get(variable)
+                if mentioning is None:
+                    mentions[variable] = [nogood]
+                else:
+                    mentioning.append(nogood)
         own_value = nogood.value_of(self.own_variable)
         if nogood.mentions(self.own_variable):
             bucket = self._by_value.setdefault(own_value, ReadOnlyBucket())
@@ -245,9 +254,10 @@ class NogoodStore:
         buggy retention policy cannot drop them.
 
         Every derived structure is kept consistent: the per-value index,
-        the insertion order, the ``for_value`` combined-list cache and
-        the per-view priority-key caches all forget the nogood (a stale
-        cached batch would otherwise keep serving the evicted nogood).
+        the insertion order, the ``for_value`` combined-list cache, the
+        variable reverse index and the priority-key cache all forget the
+        nogood (a stale cached batch would otherwise keep serving the
+        evicted nogood).
         """
         if nogood not in self._all:
             return False
@@ -270,8 +280,14 @@ class NogoodStore:
         else:
             list.remove(self._unconditional, nogood)
             self._combined_cache.clear()
-        for cache in self._key_caches.values():
-            cache.keys.pop(nogood, None)
+        mentions = self._mentions
+        for variable in nogood.variables:
+            if variable != self.own_variable:
+                mentioning = mentions[variable]
+                mentioning.remove(nogood)
+                if not mentioning:
+                    del mentions[variable]
+        self._keys.pop(nogood, None)
         self._learned_count -= 1
         self.evictions += 1
         if self._retention is not None:
@@ -406,14 +422,13 @@ class NogoodStore:
         """
         self.counter.bump()
         own_variable = self.own_variable
+        values = view._values
         for variable, value in nogood.pairs:
             if variable == own_variable:
                 if value != own_value:
                     return False
-            else:
-                entry = view.entry(variable)
-                if entry is None or entry.value != value:
-                    return False
+            elif values.get(variable, _MISSING) != value:
+                return False
         # A confirmed violation is the retention notion of "use"; the flag
         # is only set for use-tracking policies, so keep-all runs pay one
         # falsy test here and nothing else.
@@ -421,7 +436,128 @@ class NogoodStore:
             self._retention.on_use(nogood)
         return True
 
+    def _scan(
+        self,
+        view: AgentView,
+        own_value: Value,
+        my_key: Optional[OrderKey],
+        higher: bool,
+        found: Optional[List[Nogood]],
+        first: bool,
+    ) -> int:
+        """The one consultation loop behind every composite query.
+
+        Scans :meth:`for_value` of *own_value* and returns how many nogoods
+        are violated. With *my_key* set, a nogood is tested only when its
+        priority key ranks above *my_key* (*higher*) or not (not *higher*);
+        the others are skipped without a check, per the paper's rule. Each
+        tested nogood is one check, exactly as :meth:`is_violated` counts
+        it, and every violated one is touched for retention in scan order
+        and appended to *found* when given. *first* stops the scan at the
+        first violation.
+
+        One frame per consult: the view's dicts, the key cache and the
+        nogood slots are read inline (a property or helper call per nogood
+        cost more than the test itself), the counters are bumped once at
+        the end, and only a cache miss makes a call.
+        """
+        own_variable = self.own_variable
+        values = view._values
+        if my_key is not None:
+            if (
+                view is not self._key_view
+                or view.priority_version != self._key_version
+            ):
+                self._sync_keys(view)
+            keys = self._keys
+            priorities = view._priorities
+        retention = self._retention if self._track_use else None
+        checks = hits = misses = count = 0
+        for nogood in self.for_value(own_value):
+            if my_key is not None:
+                key = keys.get(nogood)
+                if key is None:
+                    misses += 1
+                    key = keys[nogood] = self._key_miss(nogood, priorities)
+                else:
+                    hits += 1
+                if (key > my_key) != higher:
+                    continue
+            checks += 1
+            for variable, value in nogood._pairs:
+                if variable == own_variable:
+                    if value != own_value:
+                        break
+                elif values.get(variable, _MISSING) != value:
+                    break
+            else:
+                count += 1
+                if retention is not None:
+                    retention.on_use(nogood)
+                if found is not None:
+                    found.append(nogood)
+                if first:
+                    break
+        self.counter.total += checks
+        self.key_cache_hits += hits
+        self.key_cache_misses += misses
+        return count
+
     # -- priority classification (not cost-counted) ------------------------
+
+    def _sync_keys(self, view: AgentView) -> None:
+        """Bring the key cache up to *view*'s current priorities.
+
+        A different view rebinds the cache cold. For the bound view, only
+        the keys of stored nogoods mentioning a variable whose priority
+        changed since the last sync are dropped: a nogood's key depends on
+        the priorities of its own variables alone.
+        """
+        if view is not self._key_view:
+            self._key_view = view
+            self._keys = {}
+        else:
+            synced = self._key_version
+            keys = self._keys
+            mentions = self._mentions
+            # Stamps are in ascending order: stop at the first old one.
+            for variable, stamp in reversed(view.priority_stamps.items()):
+                if stamp <= synced:
+                    break
+                if variable in mentions:
+                    for nogood in mentions[variable]:
+                        keys.pop(nogood, None)
+        self._key_version = view.priority_version
+
+    def _key_miss(
+        self, nogood: Nogood, priorities: Dict[VariableId, int]
+    ) -> OrderKey:
+        """Compute the priority key of *nogood* under *priorities*.
+
+        Scalar min loop over (priority, -variable) instead of delegating to
+        ``nogood_priority_key``: the genexp frame and the per-variable input
+        tuples were the store's single largest transient allocation (lint
+        rule H1). The one tuple built here is the result itself,
+        bit-identical to the helper's.
+        """
+        own_variable = self.own_variable
+        best_priority: Optional[int] = None
+        best_neg = 0
+        for variable in nogood._variables:
+            if variable == own_variable:
+                continue
+            priority = priorities.get(variable, 0)
+            neg = -variable
+            if (
+                best_priority is None
+                or priority < best_priority
+                or (priority == best_priority and neg < best_neg)
+            ):
+                best_priority = priority
+                best_neg = neg
+        if best_priority is None:
+            return TOP_KEY
+        return (best_priority, best_neg)
 
     def priority_key_of(self, nogood: Nogood, view: AgentView) -> OrderKey:
         """The nogood's priority key under the priorities recorded in *view*.
@@ -429,43 +565,25 @@ class NogoodStore:
         Defined by the paper as the lowest-ranked variable in the nogood
         other than the owner's. Unknown variables contribute priority 0.
 
-        Keys are cached per (view, priority version): they are consulted on
-        every candidate-value scan but only change when some priority does
-        (i.e. on backtracks), which makes this the store's hottest cacheable
-        computation by a wide margin.
+        Keys of stored nogoods are cached (see :meth:`_sync_keys`): they are
+        consulted on every candidate-value scan but only change when the
+        priority of one of their variables does. A nogood not in the store
+        is computed uncached — the reverse index could never invalidate it
+        — and counts as a miss.
         """
-        cache = self._key_caches.get(view)
-        if cache is None or cache.version != view.priority_version:
-            cache = _KeyCache(view.priority_version)
-            self._key_caches[view] = cache
-        key = cache.keys.get(nogood)
+        priorities = view._priorities
+        if nogood not in self._all:
+            self.key_cache_misses += 1
+            return self._key_miss(nogood, priorities)
+        if (
+            view is not self._key_view
+            or view.priority_version != self._key_version
+        ):
+            self._sync_keys(view)
+        key = self._keys.get(nogood)
         if key is None:
             self.key_cache_misses += 1
-            # Scalar min loop over (priority, -variable) instead of
-            # delegating to ``nogood_priority_key``: the genexp frame and
-            # the per-variable input tuples were the store's single largest
-            # transient allocation (lint rule H1). The one tuple built here
-            # is the cached result itself, bit-identical to the helper's.
-            own_variable = self.own_variable
-            best_priority: Optional[int] = None
-            best_neg = 0
-            for variable in nogood.variables:
-                if variable == own_variable:
-                    continue
-                priority = view.priority_of(variable)
-                neg = -variable
-                if (
-                    best_priority is None
-                    or priority < best_priority
-                    or (priority == best_priority and neg < best_neg)
-                ):
-                    best_priority = priority
-                    best_neg = neg
-            if best_priority is None:
-                key = TOP_KEY
-            else:
-                key = (best_priority, best_neg)
-            cache.keys[nogood] = key
+            key = self._keys[nogood] = self._key_miss(nogood, priorities)
         else:
             self.key_cache_hits += 1
         return key
@@ -474,11 +592,15 @@ class NogoodStore:
         self, nogood: Nogood, view: AgentView, own_priority: int
     ) -> bool:
         """True if *nogood* ranks higher than the owner's variable."""
-        return self.priority_key_of(nogood, view) > order_key(
-            own_priority, self.own_variable
+        return self.priority_key_of(nogood, view) > (
+            own_priority,
+            -self.own_variable,
         )
 
     # -- composite queries used by the algorithms ---------------------------
+    #
+    # All of them run :meth:`_scan`; the owner's key ``(own_priority,
+    # -own_variable)`` is ``order_key(own_priority, own_variable)`` inlined.
 
     def violated(self, view: AgentView, own_value: Value) -> List[Nogood]:
         """All stored nogoods violated with the owner at *own_value*.
@@ -486,11 +608,9 @@ class NogoodStore:
         One check per consulted nogood, exactly like the explicit
         ``for_value`` + ``is_violated`` loop it replaces.
         """
-        return [
-            nogood
-            for nogood in self.for_value(own_value)
-            if self.is_violated(nogood, view, own_value)
-        ]
+        found: List[Nogood] = []
+        self._scan(view, own_value, None, True, found, False)
+        return found
 
     def is_consistent(self, view: AgentView, own_value: Value) -> bool:
         """True when no stored nogood is violated with the owner at *own_value*.
@@ -498,10 +618,7 @@ class NogoodStore:
         Short-circuits on the first violation (and stops counting checks
         there), matching ABT's classical consistency scan.
         """
-        for nogood in self.for_value(own_value):
-            if self.is_violated(nogood, view, own_value):
-                return False
-        return True
+        return not self._scan(view, own_value, None, True, None, True)
 
     def violated_higher(
         self,
@@ -516,14 +633,10 @@ class NogoodStore:
         without a check), matching the paper's rule that an agent "only
         performs this test for a nogood whose priority is higher".
         """
-        my_key = order_key(own_priority, self.own_variable)
-        violated = []
-        for nogood in self.for_value(own_value):
-            if self.priority_key_of(nogood, view) > my_key and self.is_violated(
-                nogood, view, own_value
-            ):
-                violated.append(nogood)
-        return violated
+        found: List[Nogood] = []
+        my_key = (own_priority, -self.own_variable)
+        self._scan(view, own_value, my_key, True, found, False)
+        return found
 
     def count_violated_higher(
         self,
@@ -538,14 +651,8 @@ class NogoodStore:
         touches — for the callers that only test the result's truthiness
         (lint rule H1: the list was per-message garbage).
         """
-        my_key = order_key(own_priority, self.own_variable)
-        count = 0
-        for nogood in self.for_value(own_value):
-            if self.priority_key_of(nogood, view) > my_key and self.is_violated(
-                nogood, view, own_value
-            ):
-                count += 1
-        return count
+        my_key = (own_priority, -self.own_variable)
+        return self._scan(view, own_value, my_key, True, None, False)
 
     def count_violated_lower(
         self,
@@ -554,49 +661,52 @@ class NogoodStore:
         own_priority: int,
     ) -> int:
         """How many lower nogoods are violated with the owner at *own_value*."""
-        my_key = order_key(own_priority, self.own_variable)
-        count = 0
-        for nogood in self.for_value(own_value):
-            if self.priority_key_of(nogood, view) <= my_key and self.is_violated(
-                nogood, view, own_value
-            ):
-                count += 1
-        return count
+        my_key = (own_priority, -self.own_variable)
+        return self._scan(view, own_value, my_key, False, None, False)
 
     def count_violated(self, view: AgentView, own_value: Value) -> int:
         """How many stored nogoods are violated with the owner at *own_value*."""
-        count = 0
-        for nogood in self.for_value(own_value):
-            if self.is_violated(nogood, view, own_value):
-                count += 1
-        return count
+        return self._scan(view, own_value, None, True, None, False)
 
     # -- batch entry points (one pass over a candidate-value list) ----------
+    #
+    # Check counting is positionally identical to calling the single-value
+    # method in a loop; each value is one :meth:`_scan`. Plain loops, not
+    # comprehensions: a comprehension allocates a function object per call.
 
     def violated_batch(
         self, view: AgentView, values: Sequence[Value]
     ) -> List[List[Nogood]]:
-        """:meth:`violated` for every candidate value, in order.
-
-        Check counting is positionally identical to calling the
-        single-value method in a loop.
-        """
-        return [self.violated(view, value) for value in values]
+        """:meth:`violated` for every candidate value, in order."""
+        results = []
+        for own_value in values:
+            found: List[Nogood] = []
+            self._scan(view, own_value, None, True, found, False)
+            results.append(found)
+        return results
 
     def count_violated_batch(
         self, view: AgentView, values: Sequence[Value]
     ) -> List[int]:
         """:meth:`count_violated` for every candidate value, in order."""
-        return [self.count_violated(view, value) for value in values]
+        results = []
+        for own_value in values:
+            results.append(
+                self._scan(view, own_value, None, True, None, False)
+            )
+        return results
 
     def violated_higher_batch(
         self, view: AgentView, values: Sequence[Value], own_priority: int
     ) -> List[List[Nogood]]:
         """:meth:`violated_higher` for every candidate value, in order."""
-        return [
-            self.violated_higher(view, value, own_priority)
-            for value in values
-        ]
+        my_key = (own_priority, -self.own_variable)
+        results = []
+        for own_value in values:
+            found: List[Nogood] = []
+            self._scan(view, own_value, my_key, True, found, False)
+            results.append(found)
+        return results
 
     def count_violated_higher_batch(
         self, view: AgentView, values: Sequence[Value], own_priority: int
@@ -606,30 +716,27 @@ class NogoodStore:
         The list-of-lists shape of :meth:`violated_higher_batch` costs one
         list object per candidate even when every entry is empty; callers
         that only ask "is any higher nogood violated at this value?" get a
-        flat int list instead (lint rule H2). The owner's key is hoisted
-        out of the loop; counting is positionally identical to calling
-        :meth:`count_violated_higher` per value.
+        flat int list instead (lint rule H2).
         """
-        my_key = order_key(own_priority, self.own_variable)
+        my_key = (own_priority, -self.own_variable)
         results = []
         for own_value in values:
-            count = 0
-            for nogood in self.for_value(own_value):
-                if self.priority_key_of(
-                    nogood, view
-                ) > my_key and self.is_violated(nogood, view, own_value):
-                    count += 1
-            results.append(count)
+            results.append(
+                self._scan(view, own_value, my_key, True, None, False)
+            )
         return results
 
     def count_violated_lower_batch(
         self, view: AgentView, values: Sequence[Value], own_priority: int
     ) -> List[int]:
         """:meth:`count_violated_lower` for every candidate value, in order."""
-        return [
-            self.count_violated_lower(view, value, own_priority)
-            for value in values
-        ]
+        my_key = (own_priority, -self.own_variable)
+        results = []
+        for own_value in values:
+            results.append(
+                self._scan(view, own_value, my_key, False, None, False)
+            )
+        return results
 
     def __repr__(self) -> str:
         return (
@@ -639,6 +746,9 @@ class NogoodStore:
 
 
 _EMPTY: ReadOnlyBucket = ReadOnlyBucket()
+
+#: Sentinel distinct from every legal value (None is a legal value).
+_MISSING = object()
 
 
 class LinearNogoodStore(NogoodStore):

@@ -32,9 +32,9 @@ Six axes:
   paths: replays the d3c/d3s cells with a ``tracemalloc`` probe around
   every ``initialize``/``step`` call and reports transient bytes per 1k
   delivered messages (the garbage the H1-H4 lint rules police; lower is
-  better). The instrumented replay must match the uninstrumented
-  reference bit-for-bit. Writes ``BENCH_alloc.json``; ``--gate`` applies
-  the 20% rule as a ceiling.
+  better). Cyclic GC is held off during the instrumented replay, which
+  must match the uninstrumented reference bit-for-bit. Writes
+  ``BENCH_alloc.json``; ``--gate`` applies the 20% rule as a ceiling.
 
 Usage::
 
@@ -55,6 +55,7 @@ repro-lint determinism rules ban inside the simulation layers.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -588,6 +589,35 @@ def _run_alloc_trial(problem, spec, seed, probe: _AllocProbe):
     return simulator.run()
 
 
+def _run_alloc_leg(instances, spec, num_instances: int, inits: int):
+    """The instrumented replay of one cell: ``(probe, trial results)``.
+
+    Cyclic garbage collection is flushed, then held off for the whole leg.
+    A collection pass that lands inside a handler frees garbage left by
+    earlier handlers, so the handler's ``peak - current`` would count
+    memory it never allocated — and where the passes land depends on
+    allocation anywhere else in the process, not on the handler.
+    """
+    probe = _AllocProbe()
+    trials = []
+    gc_was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for instance_index, _init_index, seed in trial_parameters(
+            num_instances, inits, MASTER_SEED
+        ):
+            trials.append(
+                _run_alloc_trial(instances[instance_index], spec, seed, probe)
+            )
+    finally:
+        tracemalloc.stop()
+        if gc_was_enabled:
+            gc.enable()
+    return probe, trials
+
+
 def run_alloc_bench(output: str, gate: Optional[str]) -> int:
     """``--axis alloc``: allocation churn per 1k delivered messages.
 
@@ -623,20 +653,7 @@ def run_alloc_bench(output: str, gate: Optional[str]) -> int:
             max_cycles=MAX_CYCLES,
             workers=1,
         )
-        probe = _AllocProbe()
-        trials = []
-        tracemalloc.start()
-        try:
-            for instance_index, _init_index, seed in trial_parameters(
-                num_instances, inits, MASTER_SEED
-            ):
-                trials.append(
-                    _run_alloc_trial(
-                        instances[instance_index], spec, seed, probe
-                    )
-                )
-        finally:
-            tracemalloc.stop()
+        probe, trials = _run_alloc_leg(instances, spec, num_instances, inits)
         instrumented_cell = CellResult(label=label, n=n, trials=trials)
         if cell_measures(reference_cell) != cell_measures(instrumented_cell):
             mismatches.append(f"{family}-n{n}-{label}")

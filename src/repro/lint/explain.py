@@ -116,13 +116,14 @@ EXPLANATIONS: Dict[str, Explanation] = {
     ),
     "R1": Explanation(
         rationale=(
-            "AgentView.update/forget bump the priority counter that "
-            "the store's priority-key cache invalidates on. Writing the "
-            "view dict directly skips the bump, so the cache keeps "
-            "serving keys for priorities that have changed."
+            "AgentView.update/forget stamp each priority change per "
+            "variable, and the store's priority-key cache invalidates on "
+            "those stamps. Writing the view dicts directly skips the "
+            "stamp, so the cache keeps serving keys for priorities that "
+            "have changed."
         ),
-        bad="self.view._values[sender] = value",
-        good="self.view.update(sender, value, counter)",
+        bad="self.view._priorities[sender] = priority",
+        good="self.view.update(sender, value, priority)",
     ),
     "R2": Explanation(
         rationale=(

@@ -8,12 +8,13 @@ footprints, so a rule violation here predicts a schedule divergence there.
 
 =====  ======================================================================
 R1     View-counter bypass. Neighbor state lives in an
-       :class:`~repro.core.assignment.AgentView`, whose ``update`` guards
-       every write with the priority counter that the store's priority-key
-       cache invalidates on. Reaching around the API — touching the view's
+       :class:`~repro.core.assignment.AgentView`, whose ``update`` and
+       ``forget`` guard every write with the priority version and the
+       per-variable priority stamps that the store's priority-key cache
+       invalidates on. Reaching around the API — touching the view's
        private internals or item-assigning into it — records unstable
-       neighbor state without bumping that counter, so a reordered
-       delivery can leave a consumer reading a stale cache.
+       neighbor state without stamping it, so a reordered delivery can
+       leave a consumer reading a stale cache.
 R2     Non-commuting handlers under reordering. The transport guarantees
        FIFO per channel only: messages from distinct senders arrive in
        either order. Handlers that merely *absorb* (update the view,
@@ -88,10 +89,10 @@ class ViewCounterBypassRule(Rule):
             return
         agent_classes = _agent_classes(graph)
         hint = (
-            "go through AgentView.update/forget — they bump the priority "
-            "counter that the store's priority-key cache invalidates on; "
-            "raw writes leave the cache serving stale keys after a "
-            "reordered delivery"
+            "go through AgentView.update/forget — they maintain the "
+            "per-variable priority stamps that the store's priority-key "
+            "cache invalidates on; raw writes leave the cache serving "
+            "stale keys after a reordered delivery"
         )
         for cls in module.classes.values():
             if cls.name not in agent_classes:
@@ -134,7 +135,7 @@ class ViewCounterBypassRule(Rule):
                     node, path, lines,
                     f"{cls.name}.{method_name} item-assigns into "
                     f"'{view_attr}' — the write skips AgentView.update's "
-                    "change detection and counter bump",
+                    "change detection and priority stamp",
                     hint,
                 )
         return None

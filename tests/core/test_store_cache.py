@@ -1,7 +1,11 @@
 """The priority-key cache: correctness under view changes.
 
-Priority keys are memoized per (view, priority_version); these tests pin
-the invalidation rules so the 7x hot-path speedup can never go stale.
+The store caches the priority keys of its stored nogoods for the one view
+it is bound to. A priority change drops only the keys of nogoods that
+mention the changed variable (through the variable -> nogoods reverse
+index and the view's per-variable priority stamps); a different view
+rebinds the cache cold. These tests pin those invalidation rules so the
+cache can never serve a stale key.
 """
 
 from repro.core.assignment import AgentView
@@ -46,6 +50,15 @@ class TestPriorityVersion:
         view.update(5, 1, 4)
         assert view.priority_version > version
 
+    def test_stamps_hold_one_ascending_slot_per_variable(self):
+        view = AgentView()
+        for priority in range(1, 50):
+            view.update(priority % 3 + 1, 0, priority)
+        assert len(view.priority_stamps) == 3
+        stamps = list(view.priority_stamps.values())
+        assert stamps == sorted(stamps)
+        assert stamps[-1] == view.priority_version
+
     def test_forget_bumps_only_for_nonzero_priority(self):
         view = AgentView()
         view.update(1, 0, 0)
@@ -65,6 +78,18 @@ class TestCacheCorrectness:
         assert store.priority_key_of(nogood, view) == order_key(1, 3)
         view.update(3, 1, 9)
         assert store.priority_key_of(nogood, view) == order_key(9, 3)
+
+    def test_restamped_variable_is_resynced(self):
+        store = NogoodStore(own_variable=0)
+        on_one = Nogood.of((0, 0), (1, 1))
+        on_two = Nogood.of((0, 0), (2, 1))
+        store.add(on_one)
+        store.add(on_two)
+        view = fresh({1: (1, 1), 2: (1, 1)})
+        store.violated_higher(view, 0, 0)  # synced after x2's stamp
+        view.update(1, 1, 5)  # x1 re-stamped: now the newest change
+        assert store.priority_key_of(on_one, view) == order_key(5, 1)
+        assert store.priority_key_of(on_two, view) == order_key(1, 2)
 
     def test_key_stable_across_value_changes(self):
         store = NogoodStore(own_variable=0)
@@ -95,11 +120,10 @@ class TestCacheCorrectness:
 
 
 class TestCacheHitRate:
-    """The per-view key cache must not thrash when views alternate.
+    """Which lookups miss: exactly those whose key may have changed.
 
-    A single latest-view cache slot would miss on every query here; the
-    per-view (weak) cache misses once per nogood per view and hits ever
-    after. The observational hit/miss counters pin that behaviour.
+    Every keyed lookup counts as one hit or one miss, so the observational
+    counters pin the invalidation scope.
     """
 
     def make_store(self, count=20):
@@ -108,32 +132,39 @@ class TestCacheHitRate:
             store.add(Nogood.of((0, 0), (peer, 1)))
         return store
 
-    def test_alternating_views_keep_a_high_hit_rate(self):
+    def test_priority_change_re_misses_only_nogoods_mentioning_it(self):
         store = self.make_store()
-        first = fresh({1: (1, 2)})
-        second = fresh({1: (1, 3)})
-        for _round in range(10):
-            for view in (first, second):
-                store.violated_higher(view, 0, 0)
-        # One cold miss per nogood per view; everything else must hit.
-        assert store.key_cache_misses == 2 * 20
-        assert store.key_cache_hits == 2 * 9 * 20
-        total = store.key_cache_hits + store.key_cache_misses
-        assert store.key_cache_hits / total >= 0.9
+        # Two nogoods mention x1; the other 19 never see its priority.
+        store.add(Nogood.of((0, 0), (1, 0), (7, 1)))
+        view = fresh({1: (1, 2), 7: (1, 0)})
+        store.violated_higher(view, 0, 0)
+        assert store.key_cache_misses == 21
+        hits = store.key_cache_hits
+        view.update(1, 1, 9)
+        store.violated_higher(view, 0, 0)
+        assert store.key_cache_misses == 21 + 2
+        assert store.key_cache_hits == hits + 19
+        assert store.priority_key_of(Nogood.of((0, 0), (1, 1)), view) == (
+            order_key(9, 1)
+        )
 
-    def test_priority_change_invalidates_only_that_view(self):
+    def test_rebinding_to_another_view_never_serves_an_old_key(self):
         store = self.make_store()
         first = fresh({1: (1, 2)})
         second = fresh({1: (1, 3)})
-        store.violated_higher(first, 0, 0)
-        store.violated_higher(second, 0, 0)
-        misses_after_warmup = store.key_cache_misses
-        first.update(1, 1, 9)  # bump first's priority version only
-        store.violated_higher(first, 0, 0)
-        store.violated_higher(second, 0, 0)
-        # first re-misses its 20 keys; second stays fully cached.
-        assert store.key_cache_misses == misses_after_warmup + 20
-        assert store.key_cache_hits == 20
+        nogood = Nogood.of((0, 0), (1, 1))
+        for _round in range(3):
+            for view, priority in ((first, 2), (second, 3)):
+                store.violated_higher(view, 0, 0)
+                assert store.priority_key_of(nogood, view) == order_key(
+                    priority, 1
+                )
+        # Same version numbers on both views must not alias their keys.
+        assert first.priority_version == second.priority_version
+        # Each switch rebinds cold: every scan re-misses all 20 keys, and
+        # only the follow-up single lookup hits.
+        assert store.key_cache_misses == 6 * 20
+        assert store.key_cache_hits == 6
 
     def test_value_changes_do_not_invalidate(self):
         store = self.make_store()

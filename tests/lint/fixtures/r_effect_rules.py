@@ -13,7 +13,7 @@ class BypassAgent(SimulatedAgent):  # noqa: F821 — name-based closure
             if isinstance(message, OkMessage):  # noqa: F821
                 # R1: reaching into the view's private internals.
                 self.agent_view._entries[message.variable] = message.value
-                # R1: item-assigning around update()'s counter bump.
+                # R1: item-assigning around update()'s priority stamp.
                 self.neighbor_view[message.variable] = message.value
         return []
 

@@ -122,6 +122,21 @@ class TestHotConfigParsing:
         assert config.store_classes == ("NogoodStore",)
         assert any("AwcAgent" in entry for entry in config.entries)
 
+    def test_committed_hot_set_covers_the_store_scan(self):
+        root = Path(__file__).resolve().parents[2]
+        graph = ProjectGraph.build(
+            str(path) for path in sorted((root / "src").rglob("*.py"))
+        )
+        config = parse_hot_config(
+            (root / "hotpaths.toml").read_text(encoding="utf-8")
+        )
+        labels = set(compute_hot_set(graph, config).labels.values())
+        for helper in ("_scan", "_sync_keys", "_key_miss"):
+            assert f"core/store.py::NogoodStore.{helper}" in labels
+        # Every profile-observed entry still names a live function.
+        for entry in config.entries:
+            assert entry in labels
+
 
 def analyzed(source):
     tree = ast.parse(source)

@@ -5,6 +5,7 @@ import pytest
 from repro.core.assignment import AgentView
 from repro.core.exceptions import ModelError
 from repro.core.nogood import Nogood
+from repro.core.priorities import order_key
 from repro.core.store import LinearNogoodStore, NogoodStore
 from repro.retention import NogoodInterner
 from repro.retention.policy import LruPolicy
@@ -231,12 +232,19 @@ class TestCacheInvalidationOnRemoval:
     def test_priority_key_cache_purged(self):
         store = NogoodStore(own_variable=0)
         nogood = Nogood.of((0, 0), (3, 1))
+        other = Nogood.of((0, 1), (3, 1))
         store.add(nogood)
+        store.add(other)
         view = make_view({3: (1, 5)})
-        key = store.priority_key_of(nogood, view)
-        assert key is not None
+        assert store.priority_key_of(nogood, view) == order_key(5, 3)
         store.remove(nogood)
-        cache = store._key_caches.get(view)
-        assert cache is not None
-        assert nogood not in cache.keys
+        view.update(3, 1, 9)
+        # The cache syncs while the nogood is out of the reverse index, so
+        # only remove() forgetting its key keeps the re-add from serving
+        # the stale (5, -3).
+        assert store.priority_key_of(other, view) == order_key(9, 3)
+        store.add(nogood)
+        misses = store.key_cache_misses
+        assert store.priority_key_of(nogood, view) == order_key(9, 3)
+        assert store.key_cache_misses == misses + 1
 
