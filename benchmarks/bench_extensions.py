@@ -3,7 +3,7 @@
 Not tables from the paper, but the axes its Sections 1 and 5 discuss:
 
 * ABT — the ancestor whose agent-view nogoods motivated resolvent learning;
-* random-delay networks — the "other types of distributed systems" the
+* random message delays — the "other types of distributed systems" the
   authors defer to future work;
 * multi-variable-per-agent AWC — the complex-local-problem extension.
 """
@@ -18,8 +18,7 @@ from repro.core.problem import DisCSP
 from repro.experiments.paper import instances_for
 from repro.experiments.runner import run_cell
 from repro.learning import learning_method
-from repro.runtime.network import RandomDelayNetwork
-from repro.runtime.random_source import derive_rng
+from repro.runtime.network import MediumFactory
 
 N, INSTANCES, INITS = SCALE.coloring[0]
 
@@ -44,10 +43,7 @@ def test_awc_under_message_delays(benchmark, max_delay):
     """Cycle growth as the network gets slower (FIFO random delays)."""
     problems = instances_for("d3c", N, INSTANCES, SEED)
 
-    def factory(seed):
-        return RandomDelayNetwork(
-            max_delay=max_delay, rng=derive_rng(seed, "bench-net")
-        )
+    medium = MediumFactory("uniform", delay=max_delay, stream=("bench-net",))
 
     def once():
         return run_cell(
@@ -57,7 +53,7 @@ def test_awc_under_message_delays(benchmark, max_delay):
             master_seed=SEED,
             n=N,
             max_cycles=SCALE.max_cycles,
-            network_factory=factory,
+            medium=medium,
         )
 
     cell = benchmark.pedantic(once, rounds=1, iterations=1)

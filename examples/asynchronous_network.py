@@ -4,8 +4,9 @@ Two experiments in one script:
 
 1. The paper designs AWC for *fully asynchronous* systems and evaluates it
    on a synchronous simulator for convenience. Here we run the same agents
-   on networks with random per-message delays (with and without FIFO
-   channels) and confirm they still converge to correct solutions.
+   on a medium with random per-message delays (with and without FIFO
+   channels), on the lockstep and on the event-driven engine, and confirm
+   they still converge to correct solutions.
 
 2. The Figure 2 question: given measured (cycle, maxcck), at what
    communication delay does AWC+4thRslv overtake DB? We measure both on a
@@ -14,37 +15,36 @@ Two experiments in one script:
 Run:  python examples/asynchronous_network.py
 """
 
-from repro import awc, db, derive_rng, run_trial
+from repro import MediumFactory, awc, db, run_trial
 from repro.experiments.efficiency import CostLine, crossover_delay, format_figure
 from repro.experiments.runner import run_cell
 from repro.problems.coloring import random_coloring_instance
 from repro.problems.sat import sat_to_discsp, unique_solution_3sat
-from repro.runtime.network import RandomDelayNetwork
 
 
 def delayed_network(max_delay, fifo):
-    def factory(seed):
-        return RandomDelayNetwork(
-            max_delay=max_delay, rng=derive_rng(seed, "example-net"), fifo=fifo
-        )
-
-    return factory
+    """Per-message delay uniform in 1..max_delay, seeded from the trial."""
+    return MediumFactory(
+        "uniform", delay=max_delay, fifo=fifo, stream=("example-net",)
+    )
 
 
 def main() -> None:
     problem = random_coloring_instance(25, seed=11).to_discsp()
     print("1) AWC+Rslv under message delays (3-coloring, n=25)")
-    print(f"{'network':28s} {'cycles':>7s} {'solved':>7s}")
-    for label, factory in [
-        ("synchronous (paper)", None),
-        ("delay ≤ 3, FIFO", delayed_network(3, True)),
-        ("delay ≤ 3, reordering", delayed_network(3, False)),
-        ("delay ≤ 8, reordering", delayed_network(8, False)),
+    print(f"{'network':34s} {'cycles':>7s} {'solved':>7s}")
+    for label, medium, backend in [
+        ("synchronous (paper)", None, "sync"),
+        ("delay ≤ 3, FIFO", delayed_network(3, True), "sync"),
+        ("delay ≤ 3, reordering", delayed_network(3, False), "sync"),
+        ("delay ≤ 8, reordering", delayed_network(8, False), "sync"),
+        ("delay ≤ 3, FIFO, event engine", delayed_network(3, True), "events"),
     ]:
-        kwargs = {"network_factory": factory} if factory else {}
-        result = run_trial(problem, awc("Rslv"), seed=2, **kwargs)
+        result = run_trial(
+            problem, awc("Rslv"), seed=2, medium=medium, backend=backend
+        )
         assert problem.is_solution(result.assignment)
-        print(f"{label:28s} {result.cycles:7d} {str(result.solved):>7s}")
+        print(f"{label:34s} {result.cycles:7d} {str(result.solved):>7s}")
 
     print("\n2) Efficiency vs communication delay (d3s1, n=25)")
     instances = [

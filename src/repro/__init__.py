@@ -92,10 +92,10 @@ from .problems.sat import (
     unique_solution_3sat,
 )
 from .runtime import (
+    InProcessTransport,
+    MediumFactory,
     MetricsCollector,
-    RandomDelayNetwork,
     RunResult,
-    SynchronousNetwork,
     SynchronousSimulator,
     derive_rng,
     derive_seed,
@@ -123,15 +123,16 @@ __all__ = [
     "Figure2Result",
     "GenerationError",
     "Graph",
+    "InProcessTransport",
     "LearningMethod",
     "McsLearning",
+    "MediumFactory",
     "MetricsCollector",
     "ModelError",
     "MultiVariableAwcAgent",
     "NoLearning",
     "Nogood",
     "NogoodStore",
-    "RandomDelayNetwork",
     "ReproError",
     "ResolventLearning",
     "RunResult",
@@ -139,7 +140,6 @@ __all__ = [
     "SimulationError",
     "SizeBoundedResolventLearning",
     "SolverError",
-    "SynchronousNetwork",
     "SynchronousSimulator",
     "Table",
     "UnsolvableError",

@@ -187,15 +187,13 @@ def _cmd_figure2(args: argparse.Namespace) -> int:
 
 
 def _cmd_asynchrony(args: argparse.Namespace) -> int:
-    from .experiments.asynchrony import (
-        run_asynchrony_table,
-        run_event_asynchrony_table,
-    )
+    from .experiments.asynchrony import run_asynchrony_table
 
     scale = _resolve_scale(args.scale)
-    if getattr(args, "backend", "sync") == "events":
-        table = run_event_asynchrony_table(scale=scale, seed=args.seed)
-        print(table.format_text())
+    backend = getattr(args, "backend", "sync")
+    table = run_asynchrony_table(scale=scale, seed=args.seed, backend=backend)
+    print(table.format_text())
+    if backend == "events":
         print(
             "\nEvent-driven backend: 'cycle' counts epochs (distinct "
             "delivery times) and maxcck sums per-epoch maxima — the "
@@ -204,8 +202,6 @@ def _cmd_asynchrony(args: argparse.Namespace) -> int:
             "solution is verified."
         )
         return 0
-    table = run_asynchrony_table(scale=scale, seed=args.seed)
-    print(table.format_text())
     print(
         "\nThe fixed(d) rows realize Figure 2's delay axis: cycles should "
         "grow roughly d-fold over sync. Reorder rows exercise the harshest "

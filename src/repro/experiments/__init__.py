@@ -32,10 +32,10 @@ from .paper import (
 )
 from .reference import ALL_TABLES, FIGURE2_CROSSOVERS, TABLE4
 from .asynchrony import (
-    DEFAULT_NETWORKS,
-    NetworkModel,
+    DEFAULT_MEDIA,
+    MediumModel,
     delay_response,
-    network_model,
+    medium_model,
     run_asynchrony_table,
 )
 from .report import ReportResult, ShapeCheck, generate_report
@@ -56,7 +56,6 @@ from .runner import (
     random_initial_assignment,
     run_cell,
     run_trial,
-    synchronous_network_factory,
     trial_parameters,
 )
 from .tables import Table, TableRow
@@ -65,15 +64,15 @@ __all__ = [
     "ALL_TABLES",
     "CellResult",
     "CostLine",
-    "DEFAULT_NETWORKS",
+    "DEFAULT_MEDIA",
     "DEFAULT_SCALE",
     "DelayPoint",
-    "NetworkModel",
+    "MediumModel",
     "ValidationResult",
     "validate_delay_model",
     "best_bound",
     "delay_response",
-    "network_model",
+    "medium_model",
     "run_asynchrony_table",
     "sweep_problem_size",
     "sweep_size_bound",
@@ -115,6 +114,5 @@ __all__ = [
     "save_cells",
     "scale_by_name",
     "scale_from_environment",
-    "synchronous_network_factory",
     "trial_parameters",
 ]

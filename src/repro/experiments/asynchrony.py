@@ -5,13 +5,17 @@ are designed for a fully asynchronous distributed system, and thereby can
 work on any type of distributed systems. We should analyze the performance
 of our algorithm on other types of distributed systems."
 
-This module does that analysis. The same agents run unchanged on:
+This module does that analysis. The same agents run unchanged on one
+message medium (:class:`~repro.runtime.network.InProcessTransport`) with
+these latency specs:
 
-* ``sync`` — the paper's synchronous network (one cycle per message);
-* ``fixed(d)`` — every message takes d cycles (Figure 2's delay, realized
-  rather than modeled);
-* ``random(d)`` — per-message uniform delay in 1..d with FIFO channels;
-* ``random(d)/reorder`` — as above without FIFO: messages can overtake.
+* ``sync`` / ``unit`` — the paper's synchronous network (one time unit per
+  message);
+* ``fixed:d`` — every message takes d time units (Figure 2's delay,
+  realized rather than modeled);
+* ``random:d`` / ``uniform:d`` — per-message uniform delay in 1..d with
+  FIFO channels; ``:reorder`` drops FIFO, so messages can overtake;
+* ``lossy:p`` — p percent of copies are lost and retransmitted.
 
 Measured cycles grow with delay; the ratio against the synchronous run
 shows how close the growth is to the linear model Figure 2 assumes, and
@@ -19,154 +23,162 @@ the reorder rows demonstrate the algorithms' tolerance to the harshest
 asynchrony (correctness is asserted, not assumed: every solved trial's
 assignment is verified).
 
-The same sweep exists for the event-driven backend
-(:func:`run_event_asynchrony_table`): there the medium is a
-:class:`~repro.runtime.events.transport.Transport` rather than a
-``Network``, latency is per-message logical time rather than per-cycle
-redelivery, and the activation model is mail-driven rather than lockstep
-— so the two tables measure the same delay-tolerance question under two
-different execution semantics. The ``unit`` row is parity mode and
-matches the ``sync`` row of the network table trial-for-trial.
+Either engine runs the sweep. On the lockstep engine a cycle is one time
+unit; on the event engine the ``cycle`` column counts epochs (distinct
+delivery times) and activation is mail-driven, so the two tables measure
+the same delay-tolerance question under two execution semantics. The
+``random`` and ``uniform`` specs differ only in the RNG stream they draw
+from (each keeps its own, so earlier tables reproduce exactly).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..algorithms.registry import algorithm_by_name
 from ..core.exceptions import ModelError
-from ..runtime.events.transport import (
-    InProcessTransportFactory,
-    TransportFactory,
-)
-from ..runtime.network import (
-    FixedDelayNetwork,
-    Network,
-    SynchronousNetwork,
-)
+from ..runtime.network import MediumFactory
 from ..runtime.random_source import Seed, derive_seed
 from .paper import Scale, instances_for, scale_from_environment
-from .runner import (
-    CellResult,
-    lossy_network_factory,
-    random_delay_network_factory,
-    run_cell,
-)
+from .runner import BACKENDS, CellResult, run_cell
 from .tables import Table, TableRow
 
 
 @dataclass(frozen=True)
-class NetworkModel:
-    """A named network construction recipe."""
+class MediumModel:
+    """A named medium recipe: the table label and the per-trial factory."""
 
     name: str
-    factory: Callable[[Seed], Network]
+    factory: MediumFactory
 
 
-def network_model(spec: str) -> NetworkModel:
-    """Parse a network spec: ``sync``, ``fixed:3``, ``random:3``,
-    ``random:3:reorder``, ``lossy:30`` (percent loss)."""
-    parts = spec.split(":")
-    kind = parts[0]
-    if kind == "sync":
-        return NetworkModel("sync", lambda seed: SynchronousNetwork())
-    if kind == "lossy":
-        percent = int(parts[1]) if len(parts) > 1 else 30
-        # The factory seeds the loss process from the trial seed, so the
-        # delay schedule is reproducible sequentially and under --jobs N.
-        return NetworkModel(
-            f"lossy({percent}%)",
-            lossy_network_factory(loss_rate=percent / 100.0),
+#: Spec kind -> (latency kind, default parameter, RNG stream).
+_SPEC_KINDS = {
+    "sync": ("unit", None, None),
+    "unit": ("unit", None, None),
+    "fixed": ("fixed", 2, None),
+    "random": ("uniform", 3, ("network", "delay")),
+    "uniform": ("uniform", 4, ("events", "latency")),
+    "lossy": ("lossy", 30, ("network", "lossy")),
+}
+
+
+def medium_model(spec: str) -> MediumModel:
+    """Parse a medium spec: ``sync``, ``unit``, ``fixed:3``, ``random:3``,
+    ``random:3:reorder``, ``uniform:4``, ``uniform:4:reorder``, ``lossy:30``
+    (percent loss). A malformed spec raises a one-line :class:`ModelError`.
+    """
+    kind, *fields = spec.split(":")
+    if kind not in _SPEC_KINDS:
+        raise ModelError(
+            f"unknown medium spec {spec!r}; expected one of "
+            f"{', '.join(_SPEC_KINDS)}"
         )
-    if kind == "fixed":
-        delay = int(parts[1]) if len(parts) > 1 else 2
-        return NetworkModel(
-            f"fixed({delay})",
-            lambda seed, d=delay: FixedDelayNetwork(d),
+    latency, default, stream = _SPEC_KINDS[kind]
+    if default is None:
+        if fields:
+            raise ModelError(f"medium spec {spec!r} takes no parameter")
+        return MediumModel(kind, MediumFactory())
+    fifo = True
+    if latency == "uniform" and len(fields) == 2:
+        if fields[1] != "reorder":
+            raise ModelError(
+                f"medium spec {spec!r}: the third field can only be "
+                f"'reorder', got {fields[1]!r}"
+            )
+        fifo = False
+        fields = fields[:1]
+    if len(fields) > 1:
+        raise ModelError(f"medium spec {spec!r} has too many fields")
+    try:
+        parameter = int(fields[0]) if fields else default
+    except ValueError:
+        raise ModelError(
+            f"medium spec {spec!r}: {fields[0]!r} is not an integer"
+        ) from None
+    if latency == "lossy":
+        if not 0 <= parameter < 100:
+            raise ModelError(
+                f"medium spec {spec!r}: loss must be 0..99 percent, "
+                f"got {parameter}"
+            )
+        return MediumModel(
+            f"lossy({parameter}%)",
+            MediumFactory("lossy", loss_rate=parameter / 100.0, stream=stream),
         )
-    if kind == "random":
-        delay = int(parts[1]) if len(parts) > 1 else 3
-        fifo = not (len(parts) > 2 and parts[2] == "reorder")
-        suffix = "" if fifo else "/reorder"
-        return NetworkModel(
-            f"random({delay}){suffix}",
-            random_delay_network_factory(max_delay=delay, fifo=fifo),
+    if parameter < 1:
+        raise ModelError(
+            f"medium spec {spec!r}: delay must be at least 1, got {parameter}"
         )
-    raise ModelError(f"unknown network spec {spec!r}")
+    suffix = "" if fifo else "/reorder"
+    return MediumModel(
+        f"{kind}({parameter}){suffix}",
+        MediumFactory(latency, delay=parameter, fifo=fifo, stream=stream),
+    )
 
 
-#: The default grid of network models for the extension table.
-DEFAULT_NETWORKS = (
-    "sync",
-    "fixed:2",
-    "fixed:4",
-    "random:4",
-    "random:4:reorder",
-    "lossy:30",
-)
+#: The default grid of medium specs per engine.
+DEFAULT_MEDIA = {
+    "sync": (
+        "sync",
+        "fixed:2",
+        "fixed:4",
+        "random:4",
+        "random:4:reorder",
+        "lossy:30",
+    ),
+    "events": (
+        "unit",
+        "uniform:4",
+        "uniform:4:reorder",
+    ),
+}
 
-
-@dataclass(frozen=True)
-class TransportModel:
-    """A named transport construction recipe (event-driven backend)."""
-
-    name: str
-    factory: TransportFactory
-
-
-def transport_model(spec: str) -> TransportModel:
-    """Parse a transport spec for the events backend: ``unit`` (parity
-    mode), ``uniform:4`` (per-message latency uniform in 1..4, FIFO
-    channels), ``uniform:4:reorder`` (same without the FIFO clamp)."""
-    parts = spec.split(":")
-    kind = parts[0]
-    if kind == "unit":
-        return TransportModel("unit", InProcessTransportFactory())
-    if kind == "uniform":
-        delay = int(parts[1]) if len(parts) > 1 else 4
-        fifo = not (len(parts) > 2 and parts[2] == "reorder")
-        suffix = "" if fifo else "/reorder"
-        return TransportModel(
-            f"uniform({delay}){suffix}",
-            InProcessTransportFactory(max_delay=delay, fifo=fifo),
-        )
-    raise ModelError(f"unknown transport spec {spec!r}")
-
-
-#: The default grid of transport models for the event-backend table.
-DEFAULT_TRANSPORTS = (
-    "unit",
-    "uniform:4",
-    "uniform:4:reorder",
-)
+#: Table titles per engine.
+_TITLES = {
+    "sync": "Extension: network models",
+    "events": "Extension: event-driven transports",
+}
 
 
 def run_asynchrony_table(
     scale: Optional[Scale] = None,
     seed: Seed = 0,
     algorithms: Sequence[str] = ("AWC+Rslv", "DB"),
-    networks: Sequence[str] = DEFAULT_NETWORKS,
+    media: Optional[Sequence[str]] = None,
+    backend: str = "sync",
 ) -> Table:
-    """Cycles under different network models, on the coloring workload.
+    """Cycles under different media, on the coloring workload.
 
     Uses the smallest coloring cell of *scale* so the sweep stays cheap:
-    the point is the delay response, not the problem size.
+    the point is the delay response, not the problem size. ``backend``
+    picks the engine; ``media`` defaults to that engine's
+    :data:`DEFAULT_MEDIA` grid. On the events backend the ``cycle`` column
+    counts epochs and ``maxcck`` sums per-epoch maxima, the logical-time
+    analogues of the paper's measures (see ``EXPERIMENTS.md``).
     """
+    if backend not in BACKENDS:
+        raise ModelError(
+            f"unknown backend {backend!r}; expected one of {BACKENDS}"
+        )
     if scale is None:
         scale = scale_from_environment()
+    models = [
+        medium_model(spec)
+        for spec in (DEFAULT_MEDIA[backend] if media is None else media)
+    ]
     n, num_instances, inits = scale.coloring[0]
     instances = instances_for("d3c", n, num_instances, seed)
     table = Table(
         title=(
-            f"Extension: network models (distributed 3-coloring n={n}, "
+            f"{_TITLES[backend]} (distributed 3-coloring n={n}, "
             f"scale={scale.name})"
         )
     )
     for algorithm_name in algorithms:
         spec = algorithm_by_name(algorithm_name)
-        for network_spec in networks:
-            model = network_model(network_spec)
+        for model in models:
             cell = run_cell(
                 instances,
                 spec,
@@ -176,69 +188,19 @@ def run_asynchrony_table(
                 ),
                 n=n,
                 max_cycles=scale.max_cycles,
-                network_factory=model.factory,
+                medium=model.factory,
+                backend=backend,
             )
             _verify_solutions(cell, instances)
-            row = TableRow(
-                n=n,
-                label=f"{spec.name} @ {model.name}",
-                cycle=cell.mean_cycle,
-                maxcck=cell.mean_maxcck,
-                percent=cell.percent_solved,
+            table.add(
+                TableRow(
+                    n=n,
+                    label=f"{spec.name} @ {model.name}",
+                    cycle=cell.mean_cycle,
+                    maxcck=cell.mean_maxcck,
+                    percent=cell.percent_solved,
+                )
             )
-            table.add(row)
-    return table
-
-
-def run_event_asynchrony_table(
-    scale: Optional[Scale] = None,
-    seed: Seed = 0,
-    algorithms: Sequence[str] = ("AWC+Rslv", "DB"),
-    transports: Sequence[str] = DEFAULT_TRANSPORTS,
-) -> Table:
-    """Epochs under different latency models, on the coloring workload.
-
-    The event-backend sibling of :func:`run_asynchrony_table`: the
-    ``cycle`` column counts epochs (distinct delivery timestamps with
-    activity) and ``maxcck`` sums per-epoch maxima — the logical-time
-    analogues of the paper's measures (see ``EXPERIMENTS.md``). The
-    ``unit`` row equals a synchronous run of the same seeds.
-    """
-    if scale is None:
-        scale = scale_from_environment()
-    n, num_instances, inits = scale.coloring[0]
-    instances = instances_for("d3c", n, num_instances, seed)
-    table = Table(
-        title=(
-            f"Extension: event-driven transports (distributed 3-coloring "
-            f"n={n}, scale={scale.name})"
-        )
-    )
-    for algorithm_name in algorithms:
-        spec = algorithm_by_name(algorithm_name)
-        for transport_spec in transports:
-            model = transport_model(transport_spec)
-            cell = run_cell(
-                instances,
-                spec,
-                inits_per_instance=inits,
-                master_seed=derive_seed(
-                    seed, "asynchrony", algorithm_name, model.name
-                ),
-                n=n,
-                max_cycles=scale.max_cycles,
-                backend="events",
-                transport_factory=model.factory,
-            )
-            _verify_solutions(cell, instances)
-            row = TableRow(
-                n=n,
-                label=f"{spec.name} @ {model.name}",
-                cycle=cell.mean_cycle,
-                maxcck=cell.mean_maxcck,
-                percent=cell.percent_solved,
-            )
-            table.add(row)
     return table
 
 
@@ -256,14 +218,14 @@ def _verify_solutions(cell: CellResult, instances) -> None:
         if not problem.is_solution(trial.assignment):
             raise ModelError(
                 "asynchrony run produced an invalid 'solution' — "
-                "network model broke the algorithm"
+                "the medium broke the algorithm"
             )
 
 
 def delay_response(
     table: Table, algorithm_label: str
 ) -> List[Tuple[str, float]]:
-    """The (network, mean cycle) series of one algorithm from *table*."""
+    """The (medium, mean cycle) series of one algorithm from *table*."""
     series = []
     for row in table.rows:
         label, separator, network = row.label.partition(" @ ")

@@ -73,7 +73,6 @@ from .runner import (
     CellResult,
     random_initial_assignment,
     run_cell,
-    synchronous_network_factory,
     trial_parameters,
 )
 
@@ -582,7 +581,6 @@ def _run_alloc_trial(problem, spec, seed, probe: _AllocProbe):
     simulator = SynchronousSimulator(
         problem,
         agents,
-        network=synchronous_network_factory(seed),
         max_cycles=MAX_CYCLES,
         metrics=metrics,
     )

@@ -1,7 +1,7 @@
 """Parallel trial execution: one cell's trials across a process pool.
 
 A table cell aggregates up to 100 independent trials (`EXPERIMENTS.md`);
-nothing couples them — each has its own derived seed, agents, network and
+nothing couples them — each has its own derived seed, agents, medium and
 metrics — so they parallelize perfectly. This module farms the trials of
 :func:`~repro.experiments.runner.run_cell` out to a
 :class:`~concurrent.futures.ProcessPoolExecutor` while keeping the results
@@ -24,7 +24,7 @@ exposes this as ``--jobs``.
 
 Not everything can cross a process boundary: algorithm specs built from
 closures are reconstructed in the workers from their registry label, and a
-cell whose algorithm or network factory cannot be shipped falls back to
+cell whose algorithm or medium factory cannot be shipped falls back to
 the sequential runner with a :class:`RuntimeWarning` rather than failing.
 """
 
@@ -39,15 +39,13 @@ from typing import List, Optional, Sequence, Tuple, Union
 from ..algorithms.registry import AlgorithmSpec, algorithm_by_name
 from ..core.exceptions import ModelError
 from ..core.problem import DisCSP
-from ..runtime.events.transport import TransportFactory
 from ..runtime.random_source import Seed
 from ..runtime.simulator import DEFAULT_MAX_CYCLES, RunResult
 from . import runner as _runner
 from .runner import (
     CellResult,
-    NetworkFactory,
+    MediumBuilder,
     run_trial,
-    synchronous_network_factory,
     trial_parameters,
 )
 
@@ -119,9 +117,8 @@ def _init_worker(
     instances: Tuple[DisCSP, ...],
     algorithm_ref: _AlgorithmRef,
     max_cycles: int,
-    network_factory: NetworkFactory,
+    medium: Optional[MediumBuilder],
     backend: str = "sync",
-    transport_factory: Optional[TransportFactory] = None,
     store: str = "dict",
     retention: Optional[str] = None,
 ) -> None:
@@ -132,9 +129,8 @@ def _init_worker(
     _WORKER["instances"] = instances
     _WORKER["algorithm"] = algorithm
     _WORKER["max_cycles"] = max_cycles
-    _WORKER["network_factory"] = network_factory
+    _WORKER["medium"] = medium
     _WORKER["backend"] = backend
-    _WORKER["transport_factory"] = transport_factory
     _WORKER["store"] = store
     _WORKER["retention"] = retention
 
@@ -147,9 +143,8 @@ def _run_trial_task(
         _WORKER["algorithm"],
         trial_seed,
         max_cycles=_WORKER["max_cycles"],
-        network_factory=_WORKER["network_factory"],
+        medium=_WORKER["medium"],
         backend=_WORKER["backend"],
-        transport_factory=_WORKER["transport_factory"],
         store=_WORKER["store"],
         retention=_WORKER["retention"],
     )
@@ -166,10 +161,9 @@ def run_cell_parallel(
     master_seed: Seed,
     n: int,
     max_cycles: int = DEFAULT_MAX_CYCLES,
-    network_factory: NetworkFactory = synchronous_network_factory,
+    medium: Optional[MediumBuilder] = None,
     workers: Optional[int] = None,
     backend: str = "sync",
-    transport_factory: Optional[TransportFactory] = None,
     store: str = "dict",
     retention: Optional[str] = None,
 ) -> CellResult:
@@ -178,13 +172,12 @@ def run_cell_parallel(
     Drop-in equivalent of :func:`repro.experiments.runner.run_cell`:
     identical signature plus ``workers``, identical results apart from
     timing fields. Falls back to the sequential runner (with a warning)
-    when the algorithm or network factory cannot be shipped to workers,
-    and silently when one worker would gain nothing. The ``backend`` /
-    ``transport_factory`` pair travels to the workers like the network
-    factory does, so event-driven cells parallelize identically; the
-    ``store`` backend label is a plain string and ships the same way, as
-    does the ``retention`` policy spec (workers rebuild the policy objects
-    from it, one per store, so no policy state crosses the boundary).
+    when the algorithm or medium factory cannot be shipped to workers,
+    and silently when one worker would gain nothing. The ``backend``,
+    ``store`` and ``retention`` labels are plain strings and ship with the
+    medium factory, so event-driven cells parallelize identically; workers
+    rebuild the retention policy objects from their spec, one per store,
+    so no policy state crosses the boundary.
     """
     effective = resolve_workers(workers)
     tasks = list(
@@ -198,23 +191,21 @@ def run_cell_parallel(
             master_seed,
             n,
             max_cycles,
-            network_factory,
+            medium,
             backend,
-            transport_factory,
             store,
             retention,
         )
     algorithm_ref = _algorithm_reference(algorithm)
     shippable = (
         algorithm_ref is not None
-        and _is_picklable(network_factory)
-        and _is_picklable(transport_factory)
+        and _is_picklable(medium)
         and _is_picklable(tuple(instances))
     )
     if not shippable:
         warnings.warn(
             f"cell {algorithm.name!r} cannot be shipped to worker "
-            "processes (unpicklable algorithm, network/transport factory, "
+            "processes (unpicklable algorithm, medium factory, "
             "or instances); running sequentially",
             RuntimeWarning,
             stacklevel=2,
@@ -226,9 +217,8 @@ def run_cell_parallel(
             master_seed,
             n,
             max_cycles,
-            network_factory,
+            medium,
             backend,
-            transport_factory,
             store,
             retention,
         )
@@ -241,9 +231,8 @@ def run_cell_parallel(
             tuple(instances),
             algorithm_ref,
             max_cycles,
-            network_factory,
+            medium,
             backend,
-            transport_factory,
             store,
             retention,
         ),
@@ -272,9 +261,8 @@ def _run_sequentially(
     master_seed: Seed,
     n: int,
     max_cycles: int,
-    network_factory: NetworkFactory,
+    medium: Optional[MediumBuilder],
     backend: str = "sync",
-    transport_factory: Optional[TransportFactory] = None,
     store: str = "dict",
     retention: Optional[str] = None,
 ) -> CellResult:
@@ -285,10 +273,9 @@ def _run_sequentially(
         master_seed=master_seed,
         n=n,
         max_cycles=max_cycles,
-        network_factory=network_factory,
+        medium=medium,
         workers=1,
         backend=backend,
-        transport_factory=transport_factory,
         store=store,
         retention=retention,
     )

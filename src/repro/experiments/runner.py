@@ -27,10 +27,9 @@ from ..core.exceptions import ModelError
 from ..core.problem import DisCSP
 from ..core.store import STORE_BACKENDS, store_class_by_name
 from ..core.variables import Value, VariableId
-from ..runtime.events import EventDrivenSimulator, InProcessTransportFactory
-from ..runtime.events.transport import TransportFactory
+from ..runtime.events import EventDrivenSimulator
 from ..runtime.metrics import MetricsCollector
-from ..runtime.network import Network, SynchronousNetwork
+from ..runtime.network import MediumFactory, Network
 from ..runtime.random_source import Seed, derive_rng, derive_seed
 from ..runtime.simulator import (
     DEFAULT_MAX_CYCLES,
@@ -41,75 +40,13 @@ from ..runtime.simulator import (
 if TYPE_CHECKING:
     from ..runtime.trace import TraceRecorder
 
-#: Builds a fresh network per trial (delay models carry per-trial RNG state).
-NetworkFactory = Callable[[Seed], Network]
+#: Builds a fresh medium per trial (latency models carry per-trial RNG
+#: state); :class:`~repro.runtime.network.MediumFactory` is the picklable one.
+MediumBuilder = Callable[[Seed], Network]
 
 #: The trial-execution backends: the paper's lockstep cycle simulator and
 #: the discrete-event asynchronous engine (see :mod:`repro.runtime.events`).
 BACKENDS = ("sync", "events")
-
-
-def synchronous_network_factory(seed: Seed) -> Network:
-    """The default: the paper's one-cycle-per-message network."""
-    del seed
-    return SynchronousNetwork()
-
-
-@dataclass(frozen=True)
-class RandomDelayNetworkFactory:
-    """A per-trial :class:`~repro.runtime.network.RandomDelayNetwork` factory.
-
-    The delay RNG is derived from the trial seed, so the delay schedule is
-    part of the trial's reproducible state: the same seed yields the same
-    deliveries whether trials run sequentially or under ``--jobs N``. A
-    frozen top-level dataclass (not a closure) so it pickles into worker
-    processes.
-    """
-
-    max_delay: int = 3
-    fifo: bool = True
-
-    def __call__(self, seed: Seed) -> Network:
-        from ..runtime.network import RandomDelayNetwork
-
-        return RandomDelayNetwork(
-            max_delay=self.max_delay, fifo=self.fifo, seed=seed
-        )
-
-
-@dataclass(frozen=True)
-class LossyNetworkFactory:
-    """A per-trial :class:`~repro.runtime.network.LossyNetwork` factory,
-    loss process seeded from the trial seed (cf.
-    :class:`RandomDelayNetworkFactory`)."""
-
-    loss_rate: float = 0.3
-    retransmit_after: int = 1
-
-    def __call__(self, seed: Seed) -> Network:
-        from ..runtime.network import LossyNetwork
-
-        return LossyNetwork(
-            loss_rate=self.loss_rate,
-            retransmit_after=self.retransmit_after,
-            seed=seed,
-        )
-
-
-def random_delay_network_factory(
-    max_delay: int = 3, fifo: bool = True
-) -> NetworkFactory:
-    """Shorthand for :class:`RandomDelayNetworkFactory`."""
-    return RandomDelayNetworkFactory(max_delay=max_delay, fifo=fifo)
-
-
-def lossy_network_factory(
-    loss_rate: float = 0.3, retransmit_after: int = 1
-) -> NetworkFactory:
-    """Shorthand for :class:`LossyNetworkFactory`."""
-    return LossyNetworkFactory(
-        loss_rate=loss_rate, retransmit_after=retransmit_after
-    )
 
 
 def random_initial_assignment(
@@ -128,9 +65,8 @@ def run_trial(
     algorithm: AlgorithmSpec,
     seed: Seed,
     max_cycles: int = DEFAULT_MAX_CYCLES,
-    network_factory: NetworkFactory = synchronous_network_factory,
+    medium: Optional[MediumBuilder] = None,
     backend: str = "sync",
-    transport_factory: Optional[TransportFactory] = None,
     tracer: Optional["TraceRecorder"] = None,
     store: str = "dict",
     retention: Optional[str] = None,
@@ -138,14 +74,12 @@ def run_trial(
     """One trial: build agents, simulate, return the run's measurements.
 
     ``backend`` selects the execution engine: ``"sync"`` (the paper's
-    lockstep cycle simulator, message medium from ``network_factory``) or
-    ``"events"`` (the discrete-event engine, message medium from
-    ``transport_factory`` — defaulting to the unit-latency in-process
-    transport, i.e. parity mode, which reproduces the sync results
-    trial-for-trial). The two media axes are mutually exclusive: a
-    non-default ``network_factory`` with the events backend (or a
-    ``transport_factory`` with the sync backend) is rejected rather than
-    silently ignored.
+    lockstep cycle simulator) or ``"events"`` (the discrete-event engine).
+    ``medium`` builds the trial's message medium from the trial seed; either
+    engine runs on any medium. The default is the unit-latency
+    :class:`~repro.runtime.network.InProcessTransport`: the paper's
+    synchronous network, on which the events backend reproduces the sync
+    results trial-for-trial (parity mode).
 
     ``store`` selects the nogood-store backend (``"dict"`` or
     ``"linear"``; see :data:`~repro.core.store.STORE_BACKENDS`). The
@@ -188,39 +122,24 @@ def run_trial(
         interner = NogoodInterner()
         for agent in agents:
             agent.attach_retention(policy_factory, interner)
+    network = (medium or MediumFactory())(seed)
     if backend == "events":
-        if network_factory is not synchronous_network_factory:
-            raise ModelError(
-                "the events backend takes a transport_factory, not a "
-                "network_factory"
-            )
-        factory = (
-            transport_factory
-            if transport_factory is not None
-            else InProcessTransportFactory()
-        )
         return EventDrivenSimulator(
             problem,
             agents,
-            transport=factory(seed),
+            transport=network,
             max_epochs=max_cycles,
             metrics=metrics,
             tracer=tracer,
         ).run()
-    if transport_factory is not None:
-        raise ModelError(
-            "the sync backend takes a network_factory, not a "
-            "transport_factory"
-        )
-    simulator = SynchronousSimulator(
+    return SynchronousSimulator(
         problem,
         agents,
-        network=network_factory(seed),
+        network=network,
         max_cycles=max_cycles,
         metrics=metrics,
         tracer=tracer,
-    )
-    return simulator.run()
+    ).run()
 
 
 @dataclass
@@ -304,10 +223,9 @@ def run_cell(
     master_seed: Seed,
     n: int,
     max_cycles: int = DEFAULT_MAX_CYCLES,
-    network_factory: NetworkFactory = synchronous_network_factory,
+    medium: Optional[MediumBuilder] = None,
     workers: Optional[int] = None,
     backend: str = "sync",
-    transport_factory: Optional[TransportFactory] = None,
     store: str = "dict",
     retention: Optional[str] = None,
 ) -> CellResult:
@@ -320,7 +238,7 @@ def run_cell(
     out to a process pool via :mod:`repro.experiments.parallel`; results are
     identical to the sequential path apart from timing fields.
 
-    ``backend``/``transport_factory``/``store`` select the execution
+    ``medium``/``backend``/``store`` select the message medium, execution
     engine and nogood-store backend per trial; see :func:`run_trial`.
     """
     from .parallel import resolve_workers, run_cell_parallel
@@ -333,10 +251,9 @@ def run_cell(
             master_seed=master_seed,
             n=n,
             max_cycles=max_cycles,
-            network_factory=network_factory,
+            medium=medium,
             workers=workers,
             backend=backend,
-            transport_factory=transport_factory,
             store=store,
             retention=retention,
         )
@@ -350,9 +267,8 @@ def run_cell(
                 algorithm,
                 trial_seed,
                 max_cycles=max_cycles,
-                network_factory=network_factory,
+                medium=medium,
                 backend=backend,
-                transport_factory=transport_factory,
                 store=store,
                 retention=retention,
             )

@@ -47,7 +47,6 @@ from ..retention import (
     spec_with_budget,
 )
 from ..runtime.metrics import MetricsCollector
-from ..runtime.network import SynchronousNetwork
 from ..runtime.random_source import Seed, derive_rng, derive_seed
 from ..runtime.simulator import SynchronousSimulator
 from .paper import instances_for
@@ -354,7 +353,6 @@ def run_soak(
             run = SynchronousSimulator(
                 problem,
                 population.agents,
-                network=SynchronousNetwork(),
                 max_cycles=max_cycles,
                 metrics=metrics,
             ).run()

@@ -3,8 +3,8 @@
 Figure 2 *models* a delayed network: it takes (cycle, maxcck) measured on
 the synchronous simulator and assumes total time grows linearly in the
 per-message delay. This module checks that assumption against reality: it
-runs the same algorithm on :class:`~repro.runtime.network.FixedDelayNetwork`
-instances with increasing delay and compares the *measured* cycle counts to
+runs the same algorithm on :class:`~repro.runtime.network.FixedLatency`
+media with increasing delay and compares the *measured* cycle counts to
 the model's prediction ``cycle_sync × delay``.
 
 The match is not expected to be exact — under delay, agents act on staler
@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..algorithms.registry import AlgorithmSpec, awc
 from ..core.exceptions import ModelError
-from ..runtime.network import FixedDelayNetwork
+from ..runtime.network import MediumFactory
 from ..runtime.random_source import Seed, derive_seed
 from .paper import Scale, instances_for, scale_from_environment
 from .runner import run_cell
@@ -89,10 +89,6 @@ def validate_delay_model(
     instances = instances_for(family, n, num_instances, seed)
 
     def cell_at(delay: Optional[int]):
-        def factory(trial_seed):
-            del trial_seed
-            return FixedDelayNetwork(delay if delay is not None else 1)
-
         return run_cell(
             instances,
             algorithm,
@@ -100,7 +96,7 @@ def validate_delay_model(
             master_seed=derive_seed(seed, "delay-validation", delay or 1),
             n=n,
             max_cycles=scale.max_cycles * max(delays),
-            network_factory=factory,
+            medium=MediumFactory("fixed", delay=delay or 1),
         )
 
     baseline = cell_at(None)

@@ -1,8 +1,8 @@
-"""Runtime substrate: messages, networks, metrics, and the cycle simulator.
+"""Runtime substrate: messages, the message medium, metrics, and engines.
 
 The paper's experiments run on a simulator of a synchronous distributed
 system; this package is that simulator, factored so the same agents run
-unchanged on delayed/asynchronous network models.
+unchanged on delayed/asynchronous latency models and on the event engine.
 """
 
 from .agent import SimulatedAgent
@@ -17,25 +17,20 @@ from .messages import (
 )
 from .metrics import MetricsCollector
 from .network import (
-    FixedDelayNetwork,
-    LossyNetwork,
-    Network,
-    RandomDelayNetwork,
-    SynchronousNetwork,
-)
-from .events import (
-    EventDrivenSimulator,
+    FixedLatency,
     InProcessTransport,
-    InProcessTransportFactory,
+    LossyLatency,
+    MediumFactory,
+    Network,
     UniformLatency,
     UnitLatency,
 )
+from .events import EventDrivenSimulator
 from .random_source import derive_rng, derive_seed
 from .simulator import DEFAULT_MAX_CYCLES, RunResult, SynchronousSimulator
 from .termination import (
     GlobalSolutionDetector,
     IncrementalSolutionDetector,
-    QuiescentSolutionDetector,
     collect_assignment,
 )
 from .trace import MessageEvent, TraceRecorder, ValueChangeEvent
@@ -43,12 +38,12 @@ from .trace import MessageEvent, TraceRecorder, ValueChangeEvent
 __all__ = [
     "DEFAULT_MAX_CYCLES",
     "EventDrivenSimulator",
-    "FixedDelayNetwork",
+    "FixedLatency",
     "GlobalSolutionDetector",
     "IncrementalSolutionDetector",
     "InProcessTransport",
-    "InProcessTransportFactory",
-    "LossyNetwork",
+    "LossyLatency",
+    "MediumFactory",
     "MessageEvent",
     "ImproveMessage",
     "Message",
@@ -58,12 +53,9 @@ __all__ = [
     "OkMessage",
     "OkRoundMessage",
     "Outgoing",
-    "QuiescentSolutionDetector",
-    "RandomDelayNetwork",
     "RequestValueMessage",
     "RunResult",
     "SimulatedAgent",
-    "SynchronousNetwork",
     "SynchronousSimulator",
     "TraceRecorder",
     "UniformLatency",

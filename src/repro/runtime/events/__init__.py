@@ -2,11 +2,11 @@
 
 The second execution backend next to the synchronous cycle simulator
 (:mod:`repro.runtime.simulator`): a seeded discrete-event engine that
-activates agents only when mail arrives, with the message medium behind a
-small :class:`~repro.runtime.events.transport.Transport` protocol — a
-deterministic in-process priority-queue transport (the default; with unit
-latency it reproduces the synchronous simulator trial-for-trial) and a
-multiprocess socket transport for genuinely concurrent agents. See the
+activates agents only when mail arrives. It runs on the same
+:class:`~repro.runtime.network.Network` medium as the cycle simulator (with
+unit latency it reproduces that simulator trial-for-trial); the
+schedule-controlled transport of the DPOR explorer and a multiprocess
+socket transport for genuinely concurrent agents are the other media. See the
 module docstrings of :mod:`~repro.runtime.events.engine` and
 :mod:`~repro.runtime.events.socket_transport` for the execution and
 metrics semantics, and ``EXPERIMENTS.md`` for how the logical-time
@@ -19,10 +19,7 @@ from .socket_transport import run_socket_trial
 from .transport import (
     Delivery,
     InProcessTransport,
-    InProcessTransportFactory,
     LatencyModel,
-    Transport,
-    TransportFactory,
     UniformLatency,
     UnitLatency,
 )
@@ -34,10 +31,7 @@ __all__ = [
     "EventDrivenSimulator",
     "ScheduledTransport",
     "InProcessTransport",
-    "InProcessTransportFactory",
     "LatencyModel",
-    "Transport",
-    "TransportFactory",
     "UniformLatency",
     "UnitLatency",
     "run_socket_trial",

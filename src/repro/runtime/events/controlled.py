@@ -3,7 +3,7 @@
 The verifier (:mod:`repro.verify`) needs to *choose* delivery orders, not
 sample them: given the same agents and seed, it must be able to replay a
 prefix of scheduling decisions and then branch. :class:`ScheduledTransport`
-turns the engine's transport seam into exactly that choice point:
+turns the engine's medium seam into exactly that choice point:
 
 * every ``pop_due`` delivers **one** message — the engine's epoch becomes a
   single handler invocation, so the schedule fully serializes handler
@@ -12,7 +12,7 @@ turns the engine's transport seam into exactly that choice point:
   FIFO heads — the transport honors the same per-``(sender, recipient)``
   ordering guarantee as :class:`InProcessTransport` with ``fifo=True``, and
   explores every reordering *across* channels, which is precisely the
-  freedom :class:`~repro.runtime.events.transport.UniformLatency` has;
+  freedom :class:`~repro.runtime.network.UniformLatency` has;
 * which head is delivered comes from a replayable ``schedule`` — a sequence
   of indices into the (deterministically sorted) enabled set; when the
   schedule is exhausted, index 0 is chosen, so a schedule is a *prefix* of
@@ -26,13 +26,13 @@ invariants (e.g. no lost nogoods) after the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...core.exceptions import SimulationError
 from ...core.problem import AgentId
 from ..messages import Message
-from .transport import Delivery
+from ..network import Delivery
 
 #: Observer invoked at every scheduling decision (the choice-point hook).
 ChoiceHook = Callable[["ChoicePoint"], None]
@@ -53,7 +53,7 @@ class ChoicePoint:
 
 
 class ScheduledTransport:
-    """A :class:`~repro.runtime.events.transport.Transport` driven by an
+    """A :class:`~repro.runtime.network.Network` medium driven by an
     explicit schedule of delivery choices.
 
     Pending messages are kept in send order; the enabled set at each epoch
@@ -78,7 +78,7 @@ class ScheduledTransport:
         self._clock = 0
         self._pending: List[Delivery] = []
 
-    # -- Transport protocol -----------------------------------------------------
+    # -- Network protocol -------------------------------------------------------
 
     def send(
         self, sender: AgentId, recipient: AgentId, message: Message, now: int
@@ -120,7 +120,7 @@ class ScheduledTransport:
             self.on_choice(point)
         chosen = enabled[index]
         self._pending.remove(chosen)
-        delivered = replace(chosen, time=now)
+        delivered = chosen._replace(time=now)
         self.delivery_log.append(delivered)
         self.delivered_count += 1
         return [delivered]

@@ -11,7 +11,7 @@ model.
 Logical time and the paper's measures
 -------------------------------------
 
-Arrival timestamps are logical, not seconds: the transport's latency model
+Arrival timestamps are logical, not seconds: the medium's latency model
 assigns each message an integer delay, and the engine processes all
 deliveries sharing a timestamp as one *epoch* (activating the recipients in
 agent-id order, a deterministic tie-break). The paper's measures carry over
@@ -29,8 +29,8 @@ as logical-time analogues, collected by the same
 Parity mode
 -----------
 
-With the default :class:`~repro.runtime.events.transport.UnitLatency`
-transport the engine reproduces the
+On the default unit-latency medium
+(:class:`~repro.runtime.network.UnitLatency`) the engine reproduces the
 :class:`~repro.runtime.simulator.SynchronousSimulator` trial-for-trial:
 every message sent during epoch *t* arrives at *t + 1*, epochs are
 consecutive integers, and agents that received no mail would have been
@@ -57,6 +57,7 @@ from ...core.problem import AgentId, DisCSP
 from ..agent import SimulatedAgent
 from ..messages import Message, Outgoing
 from ..metrics import MetricsCollector
+from ..network import InProcessTransport, Network
 from ..simulator import DEFAULT_MAX_CYCLES, RunResult
 from ..termination import (
     GlobalSolutionDetector,
@@ -64,7 +65,6 @@ from ..termination import (
     collect_assignment,
 )
 from ..trace import TraceRecorder
-from .transport import InProcessTransport, Transport
 
 #: Activation policies: "mail" steps only agents with deliveries (plus
 #: wakeups); "all" steps every agent each epoch (a lockstep cross-check).
@@ -77,17 +77,16 @@ class EventDrivenSimulator:
     Drop-in counterpart of
     :class:`~repro.runtime.simulator.SynchronousSimulator`: same agent
     protocol, same metrics/detector/tracer collaborators, same
-    :class:`~repro.runtime.simulator.RunResult`. The medium is a pluggable
-    :class:`~repro.runtime.events.transport.Transport` instead of a
-    :class:`~repro.runtime.network.Network`; ``max_epochs`` plays the role
-    of ``max_cycles``.
+    :class:`~repro.runtime.simulator.RunResult`, same
+    :class:`~repro.runtime.network.Network` medium. ``max_epochs`` plays
+    the role of ``max_cycles``.
     """
 
     def __init__(
         self,
         problem: DisCSP,
         agents: Sequence[SimulatedAgent],
-        transport: Optional[Transport] = None,
+        transport: Optional[Network] = None,
         max_epochs: int = DEFAULT_MAX_CYCLES,
         metrics: Optional[MetricsCollector] = None,
         detector: Optional[GlobalSolutionDetector] = None,
@@ -111,7 +110,7 @@ class EventDrivenSimulator:
             )
         self.problem = problem
         self.agents: List[SimulatedAgent] = sorted(agents, key=lambda a: a.id)
-        self.transport: Transport = (
+        self.transport: Network = (
             transport if transport is not None else InProcessTransport()
         )
         self.max_epochs = max_epochs
@@ -211,13 +210,13 @@ class EventDrivenSimulator:
     def _run_epoch(self, now: int) -> None:
         """Deliver everything due at *now* and step the activated agents."""
         inbox: Dict[AgentId, List[Message]] = {}
-        for delivery in self.transport.pop_due(now):
-            inbox.setdefault(delivery.recipient, []).append(delivery.message)
+        for _time, sequence, sender, recipient, message in (
+            self.transport.pop_due(now)
+        ):
+            inbox.setdefault(recipient, []).append(message)
             if self.tracer is not None:
                 traced_at = time.perf_counter()
-                self.tracer.on_delivery(
-                    now, delivery.sequence, delivery.sender, delivery.recipient
-                )
+                self.tracer.on_delivery(now, sequence, sender, recipient)
                 self._tracer_seconds += time.perf_counter() - traced_at
         woken = self._wakeups.pop(now, set())
         if self.activation == "all":
@@ -247,9 +246,9 @@ class EventDrivenSimulator:
                 )
             if self.tracer is not None:
                 traced_at = time.perf_counter()
-                # sent_count is the transport's send counter *before* this
-                # send, i.e. exactly the sequence the transport will stamp
-                # on the resulting delivery.
+                # sent_count is the medium's send counter *before* this
+                # send, i.e. exactly the sequence the medium will stamp on
+                # the resulting delivery.
                 self.tracer.on_message(
                     now, sender, recipient, message,
                     sequence=self.transport.sent_count,

@@ -1,155 +1,194 @@
-"""Network models: how messages move between agents.
+"""The message medium: how messages move between agents, for both engines.
 
 The paper's experiments run on "a simulator of a synchronous distributed
-system": in each cycle all agents read incoming messages, compute, and send.
-:class:`SynchronousNetwork` implements exactly that — a message sent during
-cycle *t* is readable at cycle *t + 1*.
+system": in each cycle all agents read incoming messages, compute, and send,
+so a message sent during cycle *t* is readable at cycle *t + 1*. Section 5
+notes that the algorithms are designed for fully asynchronous systems and
+should be analysed on other network types too. Both are one idea: a message
+takes some number of time units. This module builds it once.
 
-The paper notes (Section 5) that the algorithms are designed for fully
-asynchronous systems and should be analysed on other network types too.
-:class:`RandomDelayNetwork` provides that axis: each message independently
-takes 1..max_delay cycles, optionally with per-channel FIFO ordering (without
-FIFO, messages between the same pair of agents can overtake each other,
-which is the harshest asynchrony the algorithms must tolerate).
+* :class:`Network` is the medium protocol both engines run on: the lockstep
+  :class:`~repro.runtime.simulator.SynchronousSimulator` calls
+  ``pop_due(cycle)`` every cycle, the discrete-event
+  :class:`~repro.runtime.events.engine.EventDrivenSimulator` jumps to
+  ``next_time()``.
+* :class:`InProcessTransport` is the in-process medium: calendar buckets of
+  plain ``(time, sequence, sender, recipient, message)`` tuples keyed by
+  arrival time, in send order.
+* A :class:`LatencyModel` decides how long each message takes:
+  :class:`UnitLatency` (the paper's medium), :class:`FixedLatency` (Figure
+  2's delay, realized), :class:`UniformLatency` (per-message random delay)
+  and :class:`LossyLatency` (loss with retransmission).
+* :class:`MediumFactory` is the picklable per-trial recipe the experiment
+  runners take; random latency draws from a stream derived from the trial
+  seed, so schedules are identical sequentially and under ``--jobs N``.
+
+The DPOR explorer's :class:`~repro.runtime.events.controlled.ScheduledTransport`
+and the socket runner are the only other media.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import (
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+)
 
-from ..core.exceptions import SimulationError
+from ..core.exceptions import ModelError, SimulationError
 from ..core.problem import AgentId
 from .messages import Message
 from .random_source import Seed, derive_rng
 
-#: A delivered message tagged with its sender-declared envelope recipient.
-Inbox = Dict[AgentId, List[Message]]
+#: One message as a medium hands it over:
+#: ``(arrival time, send sequence, sender, recipient, message)``.
+Arrival = Tuple[int, int, AgentId, AgentId, Message]
 
 
-class Network:
-    """Base class: buffers sent messages and delivers them per cycle."""
+class Delivery(NamedTuple):
+    """An :data:`Arrival` with named fields (the DPOR explorer's records)."""
 
-    def __init__(self) -> None:
-        self.sent_count = 0
-        self.delivered_count = 0
-
-    def send(self, sender: AgentId, recipient: AgentId, message: Message) -> None:
-        """Queue *message* from *sender* to *recipient*."""
-        raise NotImplementedError
-
-    def deliver(self) -> Inbox:
-        """Advance one cycle and return the messages readable this cycle."""
-        raise NotImplementedError
-
-    def pending(self) -> int:
-        """Number of messages queued but not yet delivered."""
-        raise NotImplementedError
-
-    def is_idle(self) -> bool:
-        """True when no messages are in flight."""
-        return self.pending() == 0
+    time: int
+    sequence: int
+    sender: AgentId
+    recipient: AgentId
+    message: Message
 
 
-class SynchronousNetwork(Network):
-    """The paper's model: every message takes exactly one cycle."""
+class Network(Protocol):
+    """What both engines require of a message medium.
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._queue: List[Tuple[AgentId, Message]] = []
+    An engine calls :meth:`send` while running time ``now``; the medium
+    decides the arrival time, always after ``now``. :meth:`pop_due` returns
+    what arrives exactly at ``now``, in send order, so runs are
+    reproducible for a fixed seed. Time never runs backwards: an engine
+    pops every time that :meth:`next_time` names (or every cycle) and never
+    sends at a time it has already popped.
+    """
 
-    def send(self, sender: AgentId, recipient: AgentId, message: Message) -> None:
-        if recipient == sender:
-            raise SimulationError(
-                f"agent {sender} attempted to send a message to itself"
-            )
-        self._queue.append((recipient, message))
-        self.sent_count += 1
+    sent_count: int
 
-    def deliver(self) -> Inbox:
-        inbox: Inbox = {}
-        for recipient, message in self._queue:
-            inbox.setdefault(recipient, []).append(message)
-            self.delivered_count += 1
-        self._queue = []
-        return inbox
+    def send(
+        self, sender: AgentId, recipient: AgentId, message: Message, now: int
+    ) -> None:
+        """Schedule *message*, sent at time *now*."""
+        ...
+
+    def next_time(self) -> Optional[int]:
+        """The earliest pending arrival time, or None when idle."""
+        ...
+
+    def pop_due(self, now: int) -> Sequence[Arrival]:
+        """Remove and return every message arriving exactly at *now*."""
+        ...
 
     def pending(self) -> int:
-        return len(self._queue)
+        """Number of messages in flight."""
+        ...
 
 
-class FixedDelayNetwork(Network):
-    """Every message takes exactly *delay* cycles.
+# -- latency models -------------------------------------------------------------
 
-    This is the network the paper's Figure 2 model abstracts: a per-cycle
-    communication delay of a known number of time-units. Running an
-    algorithm on ``FixedDelayNetwork(d)`` and comparing the measured cycle
-    count against ``d × cycles_at_delay_1`` empirically validates (or
-    bounds) the linear model — see ``benchmarks/bench_extensions.py``.
+
+class LatencyModel(Protocol):
+    """How long a message takes, in time units (at least 1).
+
+    A model whose delay never varies says so in ``constant`` (the delay);
+    the medium then skips the per-message draw and the FIFO clamp, which a
+    constant delay cannot violate. Random models set ``constant = None``.
+    """
+
+    @property
+    def constant(self) -> Optional[int]:
+        """The delay every message takes, or None when it is drawn."""
+        ...
+
+    def delay(self, sender: AgentId, recipient: AgentId) -> int:
+        """The latency of one message from *sender* to *recipient*."""
+        ...
+
+
+class FixedLatency:
+    """Every message takes exactly *delay* time units.
+
+    This is the medium the paper's Figure 2 model abstracts: a per-cycle
+    communication delay of a known number of time units. Running an
+    algorithm on it and comparing the measured cycles against
+    ``d × cycles_at_delay_1`` tests the linear model empirically (see
+    :mod:`repro.experiments.validation`).
     """
 
     def __init__(self, delay: int = 1) -> None:
-        super().__init__()
         if delay < 1:
             raise SimulationError(f"delay must be at least 1, got {delay}")
-        self.delay = delay
-        self._now = 0
-        self._queue: List[Tuple[int, int, AgentId, Message]] = []
-        self._sequence = 0
+        self.constant = delay
 
-    def send(self, sender: AgentId, recipient: AgentId, message: Message) -> None:
-        if recipient == sender:
+    def delay(self, sender: AgentId, recipient: AgentId) -> int:
+        del sender, recipient
+        return self.constant
+
+
+class UnitLatency(FixedLatency):
+    """Every message takes one time unit: the paper's synchronous medium,
+    and the event engine's parity mode."""
+
+    def __init__(self) -> None:
+        super().__init__(1)
+
+
+class UniformLatency:
+    """Seeded per-message latency, uniform in ``1..max_delay``.
+
+    Draws come from *rng* when given; otherwise from a stream derived from
+    *seed*. Pass the trial seed so the schedule is part of the trial's
+    reproducible state, never shared global RNG state.
+    """
+
+    constant: Optional[int] = None
+
+    def __init__(
+        self,
+        max_delay: int = 3,
+        seed: Seed = 0,
+        rng: Optional[random.Random] = None,
+    ) -> None:
+        if max_delay < 1:
             raise SimulationError(
-                f"agent {sender} attempted to send a message to itself"
+                f"max_delay must be at least 1, got {max_delay}"
             )
-        self._queue.append(
-            (self._now + self.delay, self._sequence, recipient, message)
+        self.max_delay = max_delay
+        self._rng = (
+            rng if rng is not None else derive_rng(seed, "events", "latency")
         )
-        self._sequence += 1
-        self.sent_count += 1
 
-    def deliver(self) -> Inbox:
-        self._now += 1
-        due = [item for item in self._queue if item[0] <= self._now]
-        self._queue = [item for item in self._queue if item[0] > self._now]
-        due.sort(key=lambda item: item[1])
-        inbox: Inbox = {}
-        for _arrival, _sequence, recipient, message in due:
-            inbox.setdefault(recipient, []).append(message)
-            self.delivered_count += 1
-        return inbox
-
-    def pending(self) -> int:
-        return len(self._queue)
+    def delay(self, sender: AgentId, recipient: AgentId) -> int:
+        del sender, recipient
+        return self._rng.randint(1, self.max_delay)
 
 
-class LossyNetwork(Network):
+class LossyLatency:
     """Messages are dropped with probability *loss_rate* and retransmitted.
 
-    The paper's algorithms assume reliable delivery ("an agent can send
-    messages to other agents iff the agents know the addresses ... the
-    delay in delivering a message is finite" is the standard DisCSP model).
-    Real links lose packets; reliability is then implemented underneath,
-    by acknowledgment and retransmission. This network models exactly that
-    contract: each send is retried every *retransmit_after* cycles until a
-    copy survives the loss process, so delivery is guaranteed but takes a
-    geometrically distributed number of retransmission rounds.
+    The DisCSP model assumes reliable delivery with finite delay. Real links
+    lose packets; reliability is then built underneath by acknowledgment and
+    retransmission. This model is that contract: each send is retried every
+    *retransmit_after* time units until a copy survives, so delivery is
+    guaranteed but takes a geometrically distributed number of rounds. The
+    net effect is a random-delay channel whose delay comes from the loss
+    process, which is why "finite delay" is the right abstraction for lossy
+    links. Run it with FIFO on (the default) for TCP-style hold-back.
 
-    The net effect is a random-delay channel whose delay distribution comes
-    from the loss process — which is why the DisCSP model's "finite delay"
-    assumption is the right abstraction for lossy links, a point this class
-    makes executable (see ``tests/runtime/test_lossy.py``).
-
-    Per-channel FIFO is preserved: a retransmitted message never overtakes
-    a later one, because delivery order is decided by send sequence among
-    messages that have "arrived" (survived loss).
-
-    The loss process draws from *rng* when given; otherwise from a stream
-    derived from *seed* — pass the simulator/trial seed so delay schedules
-    are part of the trial's reproducible state (identical sequentially and
-    under ``--jobs N``), never from shared global RNG state.
+    ``retransmissions`` counts the lost copies. Draws come from *rng* when
+    given; otherwise from a stream derived from *seed*.
     """
+
+    constant: Optional[int] = None
 
     def __init__(
         self,
@@ -159,7 +198,6 @@ class LossyNetwork(Network):
         max_attempts: int = 1000,
         seed: Seed = 0,
     ) -> None:
-        super().__init__()
         if not 0.0 <= loss_rate < 1.0:
             raise SimulationError(
                 f"loss_rate must be in [0, 1), got {loss_rate}"
@@ -174,26 +212,12 @@ class LossyNetwork(Network):
         self._rng = (
             rng if rng is not None else derive_rng(seed, "network", "lossy")
         )
-        self._now = 0
-        self._sequence = 0
-        self.dropped_count = 0
         self.retransmissions = 0
-        # (arrival_cycle, sequence, recipient, message)
-        self._in_flight: List[Tuple[int, int, AgentId, Message]] = []
-        # Per-channel hold-back (TCP-style): a message is not delivered
-        # before its predecessors on the same (sender, recipient) channel.
-        self._last_arrival: Dict[Tuple[AgentId, AgentId], int] = {}
 
-    def send(self, sender: AgentId, recipient: AgentId, message: Message) -> None:
-        if recipient == sender:
-            raise SimulationError(
-                f"agent {sender} attempted to send a message to itself"
-            )
-        # Simulate (re)transmission rounds until a copy gets through; the
-        # arrival time reflects how many rounds were needed.
+    def delay(self, sender: AgentId, recipient: AgentId) -> int:
+        del sender, recipient
         attempts = 1
         while self._rng.random() < self.loss_rate:
-            self.dropped_count += 1
             self.retransmissions += 1
             attempts += 1
             if attempts > self.max_attempts:
@@ -201,96 +225,145 @@ class LossyNetwork(Network):
                     "message exceeded the retransmission budget; "
                     "loss_rate is unrealistically high"
                 )
-        arrival = self._now + 1 + (attempts - 1) * self.retransmit_after
-        channel = (sender, recipient)
-        arrival = max(arrival, self._last_arrival.get(channel, 0))
-        self._last_arrival[channel] = arrival
-        self._in_flight.append((arrival, self._sequence, recipient, message))
-        self._sequence += 1
-        self.sent_count += 1
-
-    def deliver(self) -> Inbox:
-        self._now += 1
-        due = [item for item in self._in_flight if item[0] <= self._now]
-        self._in_flight = [
-            item for item in self._in_flight if item[0] > self._now
-        ]
-        # FIFO among arrivals: order by send sequence.
-        due.sort(key=lambda item: item[1])
-        inbox: Inbox = {}
-        for _arrival, _sequence, recipient, message in due:
-            inbox.setdefault(recipient, []).append(message)
-            self.delivered_count += 1
-        return inbox
-
-    def pending(self) -> int:
-        return len(self._in_flight)
+        return 1 + (attempts - 1) * self.retransmit_after
 
 
-class RandomDelayNetwork(Network):
-    """Each message independently takes 1..max_delay cycles.
+# -- the medium -----------------------------------------------------------------
 
-    With ``fifo=True`` messages between an ordered pair of agents are
-    delivered in send order (a message's delivery time is clamped to be no
-    earlier than the previously sent message on the same channel). With
-    ``fifo=False`` messages can overtake each other arbitrarily.
 
-    Deliveries within a cycle are ordered by (send order), independent of the
-    heap's internal layout, so runs are reproducible for a fixed seed.
+class InProcessTransport:
+    """The in-process medium: calendar buckets keyed by arrival time.
 
-    Delay draws come from *rng* when given; otherwise from a stream derived
-    from *seed* — pass the simulator/trial seed so the delay schedule is
-    part of the trial's reproducible state (identical sequentially and
-    under ``--jobs N``), never from shared global RNG state.
+    Each bucket holds plain ``(time, sequence, sender, recipient, message)``
+    tuples. Sends are numbered in order and appended, so every bucket is in
+    send order and :meth:`pop_due` hands one over whole: no heap, no
+    per-message object. Delivery order is a pure function of the send order
+    and the (seeded) latency draws.
+
+    With ``fifo=True`` arrivals on one ``(sender, recipient)`` channel are
+    clamped to send order; with ``fifo=False`` messages can overtake, the
+    harshest asynchrony the algorithms must tolerate. It satisfies
+    :class:`Network` structurally.
     """
 
     def __init__(
-        self,
-        max_delay: int = 3,
-        rng: Optional[random.Random] = None,
-        fifo: bool = True,
-        seed: Seed = 0,
+        self, latency: Optional[LatencyModel] = None, fifo: bool = True
     ) -> None:
-        super().__init__()
-        if max_delay < 1:
-            raise SimulationError(
-                f"max_delay must be at least 1, got {max_delay}"
-            )
-        self.max_delay = max_delay
-        self.fifo = fifo
-        self._rng = (
-            rng if rng is not None else derive_rng(seed, "network", "delay")
+        self.latency: LatencyModel = (
+            latency if latency is not None else UnitLatency()
         )
-        self._now = 0
-        self._sequence = 0
-        self._heap: List[Tuple[int, int, AgentId, Message]] = []
-        self._last_delivery: Dict[Tuple[AgentId, AgentId], int] = {}
+        self.fifo = fifo
+        #: The delay of a constant model, or None for a drawn one.
+        self._constant = self.latency.constant
+        if self._constant is not None and self._constant < 1:
+            raise SimulationError(
+                f"latency model has a non-positive delay: {self._constant}"
+            )
+        self.sent_count = 0
+        self.delivered_count = 0
+        self._buckets: Dict[int, List[Arrival]] = {}
+        #: The bucket the last send went to: consecutive sends of one time
+        #: step mostly share an arrival time, and skip the dict lookup.
+        self._tail: List[Arrival] = []
+        self._tail_time: Optional[int] = None
+        self._last_arrival: Dict[Tuple[AgentId, AgentId], int] = {}
 
-    def send(self, sender: AgentId, recipient: AgentId, message: Message) -> None:
+    def send(
+        self, sender: AgentId, recipient: AgentId, message: Message, now: int
+    ) -> None:
         if recipient == sender:
             raise SimulationError(
                 f"agent {sender} attempted to send a message to itself"
             )
-        arrival = self._now + self._rng.randint(1, self.max_delay)
+        constant = self._constant
+        if constant is not None:
+            arrival = now + constant
+        else:
+            arrival = self._drawn_arrival(sender, recipient, now)
+        if arrival != self._tail_time:
+            self._tail = self._buckets.setdefault(arrival, [])
+            self._tail_time = arrival
+        sequence = self.sent_count
+        self.sent_count = sequence + 1
+        self._tail.append((arrival, sequence, sender, recipient, message))
+
+    def _drawn_arrival(
+        self, sender: AgentId, recipient: AgentId, now: int
+    ) -> int:
+        delay = self.latency.delay(sender, recipient)
+        if delay < 1:
+            raise SimulationError(
+                f"latency model returned a non-positive delay: {delay}"
+            )
+        arrival = now + delay
         if self.fifo:
             channel = (sender, recipient)
-            arrival = max(arrival, self._last_delivery.get(channel, 0))
-            self._last_delivery[channel] = arrival
-        heapq.heappush(self._heap, (arrival, self._sequence, recipient, message))
-        self._sequence += 1
-        self.sent_count += 1
+            arrival = max(arrival, self._last_arrival.get(channel, 0))
+            self._last_arrival[channel] = arrival
+        return arrival
 
-    def deliver(self) -> Inbox:
-        self._now += 1
-        due: List[Tuple[int, int, AgentId, Message]] = []
-        while self._heap and self._heap[0][0] <= self._now:
-            due.append(heapq.heappop(self._heap))
-        due.sort(key=lambda item: item[1])
-        inbox: Inbox = {}
-        for _arrival, _sequence, recipient, message in due:
-            inbox.setdefault(recipient, []).append(message)
-            self.delivered_count += 1
-        return inbox
+    def next_time(self) -> Optional[int]:
+        if not self._buckets:
+            return None
+        return min(self._buckets)
+
+    def pop_due(self, now: int) -> Sequence[Arrival]:
+        due = self._buckets.pop(now, None)
+        if due is None:
+            return ()
+        self.delivered_count += len(due)
+        return due
 
     def pending(self) -> int:
-        return len(self._heap)
+        return self.sent_count - self.delivered_count
+
+
+# -- picklable per-trial recipes ------------------------------------------------
+
+#: The latency kinds a :class:`MediumFactory` builds.
+LATENCY_KINDS = ("unit", "fixed", "uniform", "lossy")
+
+
+@dataclass(frozen=True)
+class MediumFactory:
+    """Builds each trial's :class:`InProcessTransport`.
+
+    ``latency`` picks the model: ``"unit"``, ``"fixed"`` (every message
+    takes ``delay``), ``"uniform"`` (``1..delay``) or ``"lossy"``
+    (``loss_rate``, retransmitted every time unit). Random models draw from
+    ``derive_rng(trial seed, *stream)``, or from the model's own stream
+    when ``stream`` is None. A frozen top-level dataclass (not a closure),
+    so it pickles into ``--jobs N`` worker processes.
+    """
+
+    latency: str = "unit"
+    delay: int = 1
+    loss_rate: float = 0.0
+    fifo: bool = True
+    stream: Optional[Tuple[str, ...]] = None
+
+    def __post_init__(self) -> None:
+        if self.latency not in LATENCY_KINDS:
+            raise ModelError(
+                f"unknown latency {self.latency!r}; expected one of "
+                f"{LATENCY_KINDS}"
+            )
+        if self.delay < 1:
+            raise ModelError(f"delay must be at least 1, got {self.delay}")
+        if not 0.0 <= self.loss_rate < 1.0:
+            raise ModelError(
+                f"loss rate must be in [0, 1), got {self.loss_rate}"
+            )
+
+    def __call__(self, seed: Seed) -> InProcessTransport:
+        latency: LatencyModel
+        rng = derive_rng(seed, *self.stream) if self.stream else None
+        if self.latency == "unit":
+            latency = UnitLatency()
+        elif self.latency == "fixed":
+            latency = FixedLatency(self.delay)
+        elif self.latency == "uniform":
+            latency = UniformLatency(self.delay, seed=seed, rng=rng)
+        else:
+            latency = LossyLatency(self.loss_rate, rng=rng, seed=seed)
+        return InProcessTransport(latency, fifo=self.fifo)

@@ -7,10 +7,11 @@ incoming messages, do their local computation, and send messages to relevant
 agents."
 
 :class:`SynchronousSimulator` implements those semantics over any
-:class:`~repro.runtime.network.Network`. With the default
-:class:`~repro.runtime.network.SynchronousNetwork` every message takes one
-cycle (the paper's setting); with a delay network the same loop models a
-slower or asynchronous medium.
+:class:`~repro.runtime.network.Network`: each cycle it takes the messages
+due at that cycle (``pop_due(cycle)``) and sends at the cycle's time. With
+the default unit-latency :class:`~repro.runtime.network.InProcessTransport`
+every message takes one cycle (the paper's setting); with another latency
+model the same loop models a slower or asynchronous medium.
 
 Termination:
 
@@ -32,9 +33,9 @@ from ..core.exceptions import SimulationError
 from ..core.problem import AgentId, DisCSP
 from ..core.variables import Value, VariableId
 from .agent import SimulatedAgent
-from .messages import Outgoing
+from .messages import Message, Outgoing
 from .metrics import MetricsCollector
-from .network import Network, SynchronousNetwork
+from .network import InProcessTransport, Network
 from .termination import (
     GlobalSolutionDetector,
     IncrementalSolutionDetector,
@@ -105,7 +106,9 @@ class SynchronousSimulator:
             )
         self.problem = problem
         self.agents: List[SimulatedAgent] = sorted(agents, key=lambda a: a.id)
-        self.network = network if network is not None else SynchronousNetwork()
+        self.network: Network = (
+            network if network is not None else InProcessTransport()
+        )
         self.max_cycles = max_cycles
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self.detector = (
@@ -145,8 +148,12 @@ class SynchronousSimulator:
             and not quiescent
             and self.metrics.cycles < self.max_cycles
         ):
-            self._current_cycle = self.metrics.cycles + 1
-            inbox = self.network.deliver()
+            cycle = self._current_cycle = self.metrics.cycles + 1
+            inbox: Dict[AgentId, List[Message]] = {}
+            for _time, _sequence, _sender, recipient, message in (
+                self.network.pop_due(cycle)
+            ):
+                inbox.setdefault(recipient, []).append(message)
             for agent in self.agents:
                 outgoing = agent.step(inbox.get(agent.id, ()))
                 self._route(agent.id, outgoing)
@@ -159,7 +166,7 @@ class SynchronousSimulator:
                 self._tracer_seconds += time.perf_counter() - traced_at
             solved = self._solution_found()
             unsolvable = self._any_failure()
-            if not solved and not unsolvable and self.network.is_idle():
+            if not solved and not unsolvable and not self.network.pending():
                 quiescent = True
         capped = (
             not solved
@@ -189,19 +196,21 @@ class SynchronousSimulator:
     # -- internals -------------------------------------------------------------
 
     def _route(self, sender: AgentId, outgoing: Sequence[Outgoing]) -> None:
+        now = self._current_cycle
+        ids = self._ids
+        tracer = self.tracer
+        send = self.network.send
         for recipient, message in outgoing:
-            if recipient not in self._ids:
+            if recipient not in ids:
                 raise SimulationError(
                     f"agent {sender} sent a message to unknown agent "
                     f"{recipient}"
                 )
-            if self.tracer is not None:
+            if tracer is not None:
                 traced_at = time.perf_counter()
-                self.tracer.on_message(
-                    self._current_cycle, sender, recipient, message
-                )
+                tracer.on_message(now, sender, recipient, message)
                 self._tracer_seconds += time.perf_counter() - traced_at
-            self.network.send(sender, recipient, message)
+            send(sender, recipient, message, now)
 
     def _solution_found(self) -> bool:
         return self.detector.is_solution(collect_assignment(self.agents))

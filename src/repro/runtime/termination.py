@@ -3,15 +3,13 @@
 The paper's simulator observes the system globally: a trial ends when the
 agents' current values form a solution ("cycles consumed until a solution is
 found"), or when the cycle cap (10 000 in the paper) is hit. This module
-provides that observer, plus a stricter stability-aware variant used by the
-asynchronous-network experiments: under message delays a *transient* global
-assignment can look like a solution while contradicting information is still
-in flight, and whether to count that as solved is a modelling choice.
+provides that observer and an incremental variant of it.
 
-For the paper's reproduction the plain detector is correct — the paper's
-own simulator does exactly this — and for a consistent assignment of a CSP
-in-flight messages can only confirm it, never invalidate it (nogoods are
-entailed by the problem), so "solution observed" is safe in both modes.
+Under message delays a global assignment can look like a solution while
+messages are still in flight. Counting it as solved is still correct: the
+paper's own simulator does exactly this, and for a consistent assignment of
+a CSP in-flight messages can only confirm it, never invalidate it (nogoods
+are entailed by the problem).
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Set, Tuple
 from ..core.nogood import Nogood
 from ..core.problem import DisCSP
 from ..core.variables import Value, VariableId
-from .network import Network
 
 if TYPE_CHECKING:
     from .agent import SimulatedAgent
@@ -140,22 +137,6 @@ class IncrementalSolutionDetector(GlobalSolutionDetector):
             if now != flags[key]:
                 flags[key] = now
                 self._violated_count += 1 if now else -1
-
-
-class QuiescentSolutionDetector(GlobalSolutionDetector):
-    """A solution only counts once the network is also idle.
-
-    Used by the asynchronous-network experiments to report *stable*
-    termination: the assignment solves the problem and no messages are in
-    flight that could still perturb agents into moving.
-    """
-
-    def __init__(self, problem: DisCSP, network: Network) -> None:
-        super().__init__(problem)
-        self._network = network
-
-    def is_solution(self, assignment: Mapping[VariableId, Value]) -> bool:
-        return self._network.is_idle() and super().is_solution(assignment)
 
 
 def collect_assignment(

@@ -33,6 +33,33 @@ def cycle_graph(size: int) -> Graph:
     return graph
 
 
+class Lockstep:
+    """Drives a message medium the way the lockstep engine does.
+
+    Sends happen at the current cycle; :meth:`deliver` advances one cycle
+    and returns what arrives then, grouped by recipient.
+    """
+
+    def __init__(self, medium) -> None:
+        self.medium = medium
+        self.cycle = 0
+
+    def send(self, sender, recipient, message) -> None:
+        self.medium.send(sender, recipient, message, self.cycle)
+
+    def deliver(self) -> dict:
+        self.cycle += 1
+        inbox: dict = {}
+        for _time, _sequence, _sender, recipient, message in (
+            self.medium.pop_due(self.cycle)
+        ):
+            inbox.setdefault(recipient, []).append(message)
+        return inbox
+
+    def is_idle(self) -> bool:
+        return self.medium.pending() == 0
+
+
 @pytest.fixture
 def triangle_3col() -> DisCSP:
     """K3 with 3 colors: solvable, every solution is a permutation."""

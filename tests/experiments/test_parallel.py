@@ -17,13 +17,8 @@ from repro.experiments.parallel import (
     run_cell_parallel,
 )
 from repro.experiments.paper import instances_for
-from repro.experiments.runner import (
-    lossy_network_factory,
-    random_delay_network_factory,
-    run_cell,
-    trial_parameters,
-)
-from repro.runtime.network import SynchronousNetwork
+from repro.experiments.runner import run_cell, trial_parameters
+from repro.runtime.network import InProcessTransport, MediumFactory
 
 #: Every RunResult field that must match bit-for-bit across execution
 #: modes. Timing fields (wall_time, sim_time) are machine noise and
@@ -93,8 +88,8 @@ def test_parallel_is_bit_identical_to_sequential(family, master_seed):
 @pytest.mark.parametrize(
     "factory",
     [
-        random_delay_network_factory(max_delay=2),
-        lossy_network_factory(loss_rate=0.2),
+        MediumFactory("uniform", delay=2),
+        MediumFactory("lossy", loss_rate=0.2),
     ],
     ids=["delay", "lossy"],
 )
@@ -108,7 +103,7 @@ def test_seeded_networks_are_bit_identical_under_workers(factory):
         master_seed=0,
         n=15,
         max_cycles=2_000,
-        network_factory=factory,
+        medium=factory,
     )
     sequential = run_cell(instances, spec, workers=1, **kwargs)
     parallel = run_cell(instances, spec, workers=2, **kwargs)
@@ -118,7 +113,7 @@ def test_seeded_networks_are_bit_identical_under_workers(factory):
 def test_unpicklable_network_factory_falls_back_sequentially():
     instances = instances_for("d3c", 15, 1, 0)
     spec = algorithm_by_name("AWC+Rslv")
-    factory = lambda seed: SynchronousNetwork()  # noqa: E731 — deliberately unpicklable
+    factory = lambda seed: InProcessTransport()  # noqa: E731 — deliberately unpicklable
     with pytest.warns(RuntimeWarning, match="sequentially"):
         cell = run_cell_parallel(
             instances,
@@ -127,7 +122,7 @@ def test_unpicklable_network_factory_falls_back_sequentially():
             master_seed=0,
             n=15,
             max_cycles=3_000,
-            network_factory=factory,
+            medium=factory,
             workers=4,
         )
     reference = run_cell(

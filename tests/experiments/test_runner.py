@@ -10,7 +10,7 @@ from repro.experiments.runner import (
     run_trial,
 )
 from repro.problems.coloring import random_coloring_instance
-from repro.runtime.network import RandomDelayNetwork
+from repro.runtime.network import InProcessTransport, UniformLatency
 from repro.runtime.random_source import derive_rng
 
 
@@ -37,12 +37,13 @@ class TestRunTrial:
 
     def test_network_factory_used(self, problem):
         def delayed(seed):
-            return RandomDelayNetwork(max_delay=3, rng=derive_rng(seed, "net"))
+            return InProcessTransport(
+                UniformLatency(max_delay=3, rng=derive_rng(seed, "net"))
+            )
 
-        result = run_trial(
-            problem, awc("Rslv"), seed=0, network_factory=delayed
-        )
+        result = run_trial(problem, awc("Rslv"), seed=0, medium=delayed)
         assert result.solved
+        assert result.cycles != run_trial(problem, awc("Rslv"), seed=0).cycles
 
     def test_initial_assignment_depends_on_seed(self, problem):
         a = random_initial_assignment(problem, 1)

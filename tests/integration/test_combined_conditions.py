@@ -19,9 +19,10 @@ from repro.learning import learning_method
 from repro.problems.coloring import coloring_csp, random_coloring_instance
 from repro.runtime.metrics import MetricsCollector
 from repro.runtime.network import (
-    FixedDelayNetwork,
-    LossyNetwork,
-    RandomDelayNetwork,
+    FixedLatency,
+    InProcessTransport,
+    LossyLatency,
+    UniformLatency,
 )
 from repro.runtime.random_source import derive_rng
 from repro.runtime.simulator import SynchronousSimulator
@@ -30,15 +31,19 @@ from repro.runtime.trace import TraceRecorder
 
 class TestMultiVariableOnSlowNetworks:
     @pytest.mark.parametrize(
-        "network_factory",
+        "make_medium",
         [
-            lambda: FixedDelayNetwork(3),
-            lambda: RandomDelayNetwork(max_delay=4, rng=derive_rng(1, "x")),
-            lambda: LossyNetwork(loss_rate=0.3, rng=derive_rng(1, "y")),
+            lambda: InProcessTransport(FixedLatency(3)),
+            lambda: InProcessTransport(
+                UniformLatency(max_delay=4, rng=derive_rng(1, "x"))
+            ),
+            lambda: InProcessTransport(
+                LossyLatency(loss_rate=0.3, rng=derive_rng(1, "y"))
+            ),
         ],
         ids=["fixed", "random", "lossy"],
     )
-    def test_hosted_agents_solve_under_delays(self, network_factory):
+    def test_hosted_agents_solve_under_delays(self, make_medium):
         instance = random_coloring_instance(12, seed=3)
         csp = coloring_csp(instance.graph, 3)
         problem = DisCSP(csp, {v: v % 4 for v in csp.variables})
@@ -50,7 +55,7 @@ class TestMultiVariableOnSlowNetworks:
         result = SynchronousSimulator(
             problem,
             agents,
-            network=network_factory(),
+            network=make_medium(),
             max_cycles=20_000,
             metrics=metrics,
         ).run()
@@ -63,9 +68,11 @@ class TestSizeBoundedOnLossyLinks:
         problem = random_coloring_instance(15, seed=6).to_discsp()
 
         def factory(seed):
-            return LossyNetwork(
-                loss_rate=0.4, retransmit_after=2,
-                rng=derive_rng(seed, "lossy-bounded"),
+            return InProcessTransport(
+                LossyLatency(
+                    loss_rate=0.4, retransmit_after=2,
+                    rng=derive_rng(seed, "lossy-bounded"),
+                )
             )
 
         result = run_trial(
@@ -73,7 +80,7 @@ class TestSizeBoundedOnLossyLinks:
             awc("3rdRslv"),
             seed=2,
             max_cycles=20_000,
-            network_factory=factory,
+            medium=factory,
         )
         assert result.solved
         assert problem.is_solution(result.assignment)
@@ -93,7 +100,7 @@ class TestTracedDelayedRun:
         result = SynchronousSimulator(
             problem,
             agents,
-            network=FixedDelayNetwork(2),
+            network=InProcessTransport(FixedLatency(2)),
             metrics=metrics,
             tracer=tracer,
         ).run()

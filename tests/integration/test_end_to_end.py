@@ -8,7 +8,7 @@ from repro.experiments.runner import run_cell, run_trial
 from repro.problems.coloring import coloring_discsp, random_coloring_instance
 from repro.problems.sat.generators import planted_3sat, unique_solution_3sat
 from repro.problems.sat.to_discsp import sat_to_discsp
-from repro.runtime.network import RandomDelayNetwork
+from repro.runtime.network import InProcessTransport, UniformLatency
 from repro.runtime.random_source import derive_rng
 
 from ..conftest import clique_graph
@@ -61,8 +61,9 @@ class TestAsynchronousNetworks:
 
     def delayed_factory(self, fifo):
         def factory(seed):
-            return RandomDelayNetwork(
-                max_delay=4, rng=derive_rng(seed, "net"), fifo=fifo
+            return InProcessTransport(
+                UniformLatency(max_delay=4, rng=derive_rng(seed, "net")),
+                fifo=fifo,
             )
 
         return factory
@@ -74,7 +75,7 @@ class TestAsynchronousNetworks:
             awc("Rslv"),
             seed=4,
             max_cycles=8000,
-            network_factory=self.delayed_factory(fifo),
+            medium=self.delayed_factory(fifo),
         )
         assert result.solved
         assert coloring_problem.is_solution(result.assignment)
@@ -87,7 +88,7 @@ class TestAsynchronousNetworks:
             db(),
             seed=4,
             max_cycles=8000,
-            network_factory=self.delayed_factory(fifo),
+            medium=self.delayed_factory(fifo),
         )
         assert result.solved
 
@@ -97,7 +98,7 @@ class TestAsynchronousNetworks:
             abt(),
             seed=4,
             max_cycles=8000,
-            network_factory=self.delayed_factory(True),
+            medium=self.delayed_factory(True),
         )
         assert result.solved
 
@@ -108,7 +109,7 @@ class TestAsynchronousNetworks:
             awc("Rslv"),
             seed=4,
             max_cycles=30000,
-            network_factory=self.delayed_factory(True),
+            medium=self.delayed_factory(True),
         )
         assert result.unsolvable
 

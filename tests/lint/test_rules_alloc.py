@@ -137,6 +137,20 @@ class TestHotConfigParsing:
         for entry in config.entries:
             assert entry in labels
 
+    def test_committed_hot_set_covers_the_medium(self):
+        # Every message of both engines goes through the medium's send and
+        # pop_due; the random-latency path is reached from send.
+        root = Path(__file__).resolve().parents[2]
+        graph = ProjectGraph.build(
+            str(path) for path in sorted((root / "src").rglob("*.py"))
+        )
+        config = parse_hot_config(
+            (root / "hotpaths.toml").read_text(encoding="utf-8")
+        )
+        labels = set(compute_hot_set(graph, config).labels.values())
+        for method in ("send", "pop_due", "_drawn_arrival"):
+            assert f"runtime/network.py::InProcessTransport.{method}" in labels
+
 
 def analyzed(source):
     tree = ast.parse(source)

@@ -1,10 +1,10 @@
-"""Conservation properties of every network model.
+"""Conservation properties of the medium under every latency model.
 
 Whatever the delivery policy — synchronous, fixed delay, random delay with
 or without FIFO, lossy-with-retransmission — every sent message must be
 delivered exactly once, to the right recipient, in finite time. The
 algorithms' correctness proofs assume nothing more of the medium; these
-properties pin that contract for all implementations at once.
+properties pin that contract for every latency model at once.
 """
 
 import random
@@ -17,22 +17,30 @@ from repro.experiments.runner import run_trial
 from repro.problems.coloring import random_coloring_instance
 from repro.runtime.messages import OkMessage
 from repro.runtime.network import (
-    FixedDelayNetwork,
-    LossyNetwork,
-    RandomDelayNetwork,
-    SynchronousNetwork,
+    FixedLatency,
+    InProcessTransport,
+    LossyLatency,
+    MediumFactory,
+    UniformLatency,
 )
 
+from ..conftest import Lockstep
+
+
+def random_delay(seed, fifo):
+    return InProcessTransport(
+        UniformLatency(max_delay=4, rng=random.Random(seed)), fifo=fifo
+    )
+
+
 NETWORK_BUILDERS = [
-    lambda seed: SynchronousNetwork(),
-    lambda seed: FixedDelayNetwork(delay=3),
-    lambda seed: RandomDelayNetwork(
-        max_delay=4, rng=random.Random(seed), fifo=True
+    lambda seed: InProcessTransport(),
+    lambda seed: InProcessTransport(FixedLatency(3)),
+    lambda seed: random_delay(seed, fifo=True),
+    lambda seed: random_delay(seed, fifo=False),
+    lambda seed: InProcessTransport(
+        LossyLatency(loss_rate=0.4, rng=random.Random(seed))
     ),
-    lambda seed: RandomDelayNetwork(
-        max_delay=4, rng=random.Random(seed), fifo=False
-    ),
-    lambda seed: LossyNetwork(loss_rate=0.4, rng=random.Random(seed)),
 ]
 
 #: (sender, recipient) pairs over 4 agents, sender != recipient.
@@ -49,7 +57,7 @@ def network_and_traffic(draw):
     builder = draw(st.sampled_from(NETWORK_BUILDERS))
     seed = draw(st.integers(0, 10_000))
     traffic = draw(sends)
-    return builder(seed), traffic
+    return Lockstep(builder(seed)), traffic
 
 
 class TestConservation:
@@ -80,16 +88,47 @@ class TestConservation:
         network, traffic = scenario
         for index, (sender, recipient) in enumerate(traffic):
             network.send(sender, recipient, OkMessage(sender, sender, index, 0))
-        assert network.sent_count == len(traffic)
+        assert network.medium.sent_count == len(traffic)
         while not network.is_idle():
             network.deliver()
-        assert network.delivered_count == len(traffic)
-        assert network.pending() == 0
+        assert network.medium.delivered_count == len(traffic)
+        assert network.medium.pending() == 0
+
+    @given(network_and_traffic())
+    @settings(max_examples=60, deadline=None)
+    def test_event_driven_pops_arrive_in_time_and_send_order(self, scenario):
+        """The event engine's view: jump to next_time(), pop what is due.
+
+        Every message arrives once, no earlier than one unit after its
+        send, stamped with the time it is popped at, and each pop is in
+        send-sequence order.
+        """
+        network, traffic = scenario
+        medium = network.medium
+        for index, (sender, recipient) in enumerate(traffic):
+            medium.send(
+                sender, recipient, OkMessage(sender, sender, index, 0),
+                now=index % 3,
+            )
+        seen = []
+        while medium.next_time() is not None:
+            now = medium.next_time()
+            due = list(medium.pop_due(now))
+            assert due, "next_time() named an empty time"
+            sequences = [sequence for _t, sequence, *_rest in due]
+            assert sequences == sorted(sequences)
+            for time, sequence, sender, recipient, message in due:
+                assert time == now >= sequence % 3 + 1
+                assert traffic[message.value] == (sender, recipient)
+                seen.append(message.value)
+        assert sorted(seen) == list(range(len(traffic)))
+        assert medium.pending() == 0
 
 
 def channel_order(network, count=30):
     """Send *count* numbered messages down one channel; return the arrival
     order of their sequence numbers."""
+    network = Lockstep(network)
     for index in range(count):
         network.send(0, 1, OkMessage(0, 0, index, 0))
     order = []
@@ -111,19 +150,13 @@ class TestReordering:
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_fifo_never_reorders_a_channel(self, seed):
-        network = RandomDelayNetwork(
-            max_delay=4, rng=random.Random(seed), fifo=True
-        )
-        order = channel_order(network)
+        order = channel_order(random_delay(seed, fifo=True))
         assert order == sorted(order)
 
     def test_no_fifo_overtakes_on_some_seed(self):
         overtakes = 0
         for seed in range(50):
-            network = RandomDelayNetwork(
-                max_delay=4, rng=random.Random(seed), fifo=False
-            )
-            order = channel_order(network)
+            order = channel_order(random_delay(seed, fifo=False))
             if order != sorted(order):
                 overtakes += 1
         # With 30 messages and delays in 1..4, almost every seed reorders;
@@ -140,9 +173,7 @@ class TestReordering:
                 algorithm,
                 seed,
                 max_cycles=5000,
-                network_factory=lambda s: RandomDelayNetwork(
-                    max_delay=4, seed=s, fifo=False
-                ),
+                medium=MediumFactory("uniform", delay=4, fifo=False),
             )
             if result.solved:
                 assert problem.is_solution(result.assignment)

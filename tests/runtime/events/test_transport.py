@@ -1,13 +1,16 @@
-"""The in-process transport: ordering, FIFO clamp, latency models."""
+"""The in-process medium seen from the event engine: ordering, FIFO clamp,
+latency models, the per-trial factory."""
 
 import pickle
 
 import pytest
 
-from repro.core.exceptions import SimulationError
+from repro.core.exceptions import ModelError, SimulationError
 from repro.runtime.events.transport import (
+    FixedLatency,
     InProcessTransport,
-    InProcessTransportFactory,
+    LossyLatency,
+    MediumFactory,
     UniformLatency,
     UnitLatency,
 )
@@ -18,8 +21,10 @@ def ok(sender, value=0):
     return OkMessage(sender=sender, variable=sender, value=value)
 
 
-class FixedLatency:
+class ScriptedLatency:
     """Test double: a scripted per-send delay sequence."""
+
+    constant = None
 
     def __init__(self, delays):
         self._delays = list(delays)
@@ -33,9 +38,9 @@ class TestInProcessTransport:
         transport = InProcessTransport()
         transport.send(0, 1, ok(0), now=5)
         assert transport.next_time() == 6
-        [delivery] = transport.pop_due(6)
-        assert (delivery.time, delivery.sender, delivery.recipient) == (
-            6, 0, 1,
+        [(time, sequence, sender, recipient, message)] = transport.pop_due(6)
+        assert (time, sequence, sender, recipient, message) == (
+            6, 0, 0, 1, ok(0),
         )
         assert transport.next_time() is None
 
@@ -44,30 +49,37 @@ class TestInProcessTransport:
         for value in range(5):
             transport.send(0, 1, ok(0, value=value), now=0)
         due = transport.pop_due(1)
-        assert [d.message.value for d in due] == list(range(5))
+        assert [message.value for *_head, message in due] == list(range(5))
 
     def test_fifo_clamp_prevents_same_channel_overtaking(self):
         transport = InProcessTransport(
-            latency=FixedLatency([10, 1]), fifo=True
+            latency=ScriptedLatency([10, 1]), fifo=True
         )
         transport.send(0, 1, ok(0, value=0), now=0)
         transport.send(0, 1, ok(0, value=1), now=0)
         # The second message's draw (1) would overtake; the clamp holds it
         # back to the first's arrival.
-        assert [d.time for d in transport.pop_due(10)] == [10, 10]
+        assert transport.next_time() == 10
+        due = transport.pop_due(10)
+        assert [(time, message.value) for time, *_mid, message in due] == [
+            (10, 0), (10, 1),
+        ]
 
     def test_no_fifo_allows_overtaking(self):
         transport = InProcessTransport(
-            latency=FixedLatency([10, 1]), fifo=False
+            latency=ScriptedLatency([10, 1]), fifo=False
         )
         transport.send(0, 1, ok(0, value=0), now=0)
         transport.send(0, 1, ok(0, value=1), now=0)
-        due = transport.pop_due(10)
-        assert [d.message.value for d in due] == [1, 0]
+        order = []
+        while transport.next_time() is not None:
+            now = transport.next_time()
+            order.extend(message.value for *_head, message in transport.pop_due(now))
+        assert order == [1, 0]
 
     def test_distinct_channels_do_not_clamp_each_other(self):
         transport = InProcessTransport(
-            latency=FixedLatency([10, 1]), fifo=True
+            latency=ScriptedLatency([10, 1]), fifo=True
         )
         transport.send(0, 1, ok(0), now=0)
         transport.send(2, 1, ok(2), now=0)
@@ -79,7 +91,7 @@ class TestInProcessTransport:
             transport.send(1, 1, ok(1), now=0)
 
     def test_non_positive_delay_rejected(self):
-        transport = InProcessTransport(latency=FixedLatency([0]))
+        transport = InProcessTransport(latency=ScriptedLatency([0]))
         with pytest.raises(SimulationError, match="non-positive"):
             transport.send(0, 1, ok(0), now=0)
 
@@ -95,6 +107,7 @@ class TestInProcessTransport:
 class TestLatencyModels:
     def test_unit_latency_is_one(self):
         assert UnitLatency().delay(0, 1) == 1
+        assert UnitLatency().constant == 1
 
     def test_uniform_latency_range_and_reproducibility(self):
         first = UniformLatency(max_delay=4, seed=7)
@@ -103,23 +116,54 @@ class TestLatencyModels:
         assert draws == [second.delay(0, 1) for _ in range(50)]
         assert all(1 <= d <= 4 for d in draws)
         assert len(set(draws)) > 1
+        assert first.constant is None
 
     def test_uniform_latency_rejects_zero(self):
         with pytest.raises(SimulationError):
             UniformLatency(max_delay=0)
 
+    def test_constant_non_positive_delay_rejected(self):
+        class Broken:
+            constant = 0
+
+            def delay(self, sender, recipient):
+                return 0
+
+        with pytest.raises(SimulationError, match="non-positive"):
+            InProcessTransport(latency=Broken())
+
 
 class TestFactory:
     def test_default_is_parity_mode(self):
-        transport = InProcessTransportFactory()(seed=3)
+        transport = MediumFactory()(seed=3)
         assert isinstance(transport.latency, UnitLatency)
         assert transport.fifo
 
     def test_delay_selects_uniform(self):
-        transport = InProcessTransportFactory(max_delay=4, fifo=False)(seed=3)
+        transport = MediumFactory("uniform", delay=4, fifo=False)(seed=3)
         assert isinstance(transport.latency, UniformLatency)
+        assert transport.latency.max_delay == 4
         assert not transport.fifo
 
+    def test_kinds_select_their_models(self):
+        fixed = MediumFactory("fixed", delay=3)(seed=3).latency
+        assert isinstance(fixed, FixedLatency) and fixed.constant == 3
+        lossy = MediumFactory("lossy", loss_rate=0.25)(seed=3).latency
+        assert isinstance(lossy, LossyLatency) and lossy.loss_rate == 0.25
+
     def test_factory_pickles(self):
-        factory = InProcessTransportFactory(max_delay=4)
+        factory = MediumFactory("uniform", delay=4)
         assert pickle.loads(pickle.dumps(factory)) == factory
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"latency": "carrier-pigeon"},
+            {"latency": "fixed", "delay": 0},
+            {"latency": "lossy", "loss_rate": 1.0},
+        ],
+        ids=["kind", "delay", "loss"],
+    )
+    def test_bad_recipe_rejected(self, options):
+        with pytest.raises(ModelError):
+            MediumFactory(**options)

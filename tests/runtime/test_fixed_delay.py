@@ -1,4 +1,4 @@
-"""The fixed-delay network: Figure 2's delay axis, made concrete."""
+"""Fixed latency: Figure 2's delay axis, made concrete."""
 
 import pytest
 
@@ -7,28 +7,35 @@ from repro.core.exceptions import SimulationError
 from repro.experiments.runner import run_trial
 from repro.problems.coloring import random_coloring_instance
 from repro.runtime.messages import OkMessage
-from repro.runtime.network import FixedDelayNetwork
+from repro.runtime.network import FixedLatency, InProcessTransport, MediumFactory
+
+from ..conftest import Lockstep
 
 
 def ok(sender, value=0):
     return OkMessage(sender=sender, variable=sender, value=value)
 
 
+def fixed(delay):
+    return Lockstep(InProcessTransport(FixedLatency(delay)))
+
+
 class TestDeliveryTiming:
     def test_delay_one_is_synchronous(self):
-        net = FixedDelayNetwork(delay=1)
+        net = fixed(1)
         net.send(0, 1, ok(0))
         assert net.deliver() == {1: [ok(0)]}
 
     def test_delay_three_takes_three_cycles(self):
-        net = FixedDelayNetwork(delay=3)
+        net = fixed(3)
         net.send(0, 1, ok(0))
+        assert net.medium.next_time() == 3
         assert net.deliver() == {}
         assert net.deliver() == {}
         assert net.deliver() == {1: [ok(0)]}
 
     def test_preserves_send_order(self):
-        net = FixedDelayNetwork(delay=2)
+        net = fixed(2)
         for i in range(10):
             net.send(0, 1, ok(0, value=i))
         net.deliver()
@@ -36,9 +43,9 @@ class TestDeliveryTiming:
         assert [m.value for m in received] == list(range(10))
 
     def test_pending_and_idle(self):
-        net = FixedDelayNetwork(delay=2)
+        net = fixed(2)
         net.send(0, 1, ok(0))
-        assert net.pending() == 1
+        assert net.medium.pending() == 1
         net.deliver()
         assert not net.is_idle()
         net.deliver()
@@ -46,10 +53,24 @@ class TestDeliveryTiming:
 
     def test_validation(self):
         with pytest.raises(SimulationError):
-            FixedDelayNetwork(delay=0)
-        net = FixedDelayNetwork()
-        with pytest.raises(SimulationError):
+            FixedLatency(delay=0)
+        net = fixed(1)
+        with pytest.raises(SimulationError, match="itself"):
             net.send(1, 1, ok(1))
+
+    def test_constant_latency_is_never_drawn(self):
+        class Counting(FixedLatency):
+            draws = 0
+
+            def delay(self, sender, recipient):
+                Counting.draws += 1
+                return super().delay(sender, recipient)
+
+        medium = InProcessTransport(Counting(2))
+        for i in range(5):
+            medium.send(0, 1, ok(0, value=i), now=0)
+        assert Counting.draws == 0
+        assert medium.next_time() == 2
 
 
 class TestCycleScaling:
@@ -69,7 +90,7 @@ class TestCycleScaling:
                 awc("Rslv"),
                 seed=5,
                 max_cycles=20000,
-                network_factory=lambda seed, d=delay: FixedDelayNetwork(d),
+                medium=MediumFactory("fixed", delay=delay),
             )
             assert result.solved
             cycles[delay] = result.cycles

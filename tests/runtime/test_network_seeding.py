@@ -1,25 +1,27 @@
-"""Seeded network models: schedules are a pure function of the seed.
+"""Seeded latency models: schedules are a pure function of the seed.
 
 The asynchronous-network experiments (Section 6's delay/loss variations)
-only reproduce if the network's randomness is part of the trial seed, not
+only reproduce if the medium's randomness is part of the trial seed, not
 process-global state. These tests pin that: the same seed always yields
 the same delivery schedule, different seeds differ, and the shipped
-factories survive pickling (the parallel runner ships them to workers).
+factory survives pickling (the parallel runner ships it to workers).
 """
 
 import pickle
 
-from repro.experiments.runner import (
-    LossyNetworkFactory,
-    RandomDelayNetworkFactory,
-    lossy_network_factory,
-    random_delay_network_factory,
+from repro.runtime.network import (
+    InProcessTransport,
+    LossyLatency,
+    MediumFactory,
+    UniformLatency,
 )
-from repro.runtime.network import LossyNetwork, RandomDelayNetwork
+
+from ..conftest import Lockstep
 
 
-def delivery_schedule(network, num_messages=40, max_steps=200):
-    """Inject messages and record which arrive at each deliver() step."""
+def delivery_schedule(medium, num_messages=40, max_steps=200):
+    """Inject messages and record which arrive at each cycle."""
+    network = Lockstep(medium)
     for index in range(num_messages):
         network.send("a", "b", index)
     schedule = []
@@ -31,57 +33,56 @@ def delivery_schedule(network, num_messages=40, max_steps=200):
     return tuple(schedule)
 
 
+def random_delay(max_delay, **seed):
+    return InProcessTransport(UniformLatency(max_delay, **seed))
+
+
+def lossy(seed):
+    return InProcessTransport(
+        LossyLatency(loss_rate=0.4, retransmit_after=1, seed=seed)
+    )
+
+
 class TestRandomDelaySeeding:
     def test_same_seed_same_schedule(self):
-        first = delivery_schedule(RandomDelayNetwork(max_delay=4, seed=11))
-        second = delivery_schedule(RandomDelayNetwork(max_delay=4, seed=11))
+        first = delivery_schedule(random_delay(4, seed=11))
+        second = delivery_schedule(random_delay(4, seed=11))
         assert first == second
 
     def test_different_seed_different_schedule(self):
-        first = delivery_schedule(RandomDelayNetwork(max_delay=4, seed=11))
-        second = delivery_schedule(RandomDelayNetwork(max_delay=4, seed=12))
+        first = delivery_schedule(random_delay(4, seed=11))
+        second = delivery_schedule(random_delay(4, seed=12))
         assert first != second
 
     def test_default_construction_is_deterministic(self):
         # No seed argument means seed 0 — never the process-global RNG.
-        assert delivery_schedule(
-            RandomDelayNetwork(max_delay=3)
-        ) == delivery_schedule(RandomDelayNetwork(max_delay=3))
+        assert delivery_schedule(random_delay(3)) == delivery_schedule(
+            random_delay(3)
+        )
 
 
 class TestLossySeeding:
     def test_same_seed_same_schedule(self):
-        first = delivery_schedule(
-            LossyNetwork(loss_rate=0.4, retransmit_after=1, seed=3)
-        )
-        second = delivery_schedule(
-            LossyNetwork(loss_rate=0.4, retransmit_after=1, seed=3)
-        )
-        assert first == second
+        assert delivery_schedule(lossy(3)) == delivery_schedule(lossy(3))
 
     def test_different_seed_different_schedule(self):
-        first = delivery_schedule(
-            LossyNetwork(loss_rate=0.4, retransmit_after=1, seed=3)
-        )
-        second = delivery_schedule(
-            LossyNetwork(loss_rate=0.4, retransmit_after=1, seed=4)
-        )
-        assert first != second
+        assert delivery_schedule(lossy(3)) != delivery_schedule(lossy(4))
 
 
 class TestFactories:
     def test_factories_are_picklable(self):
         for factory in (
-            RandomDelayNetworkFactory(max_delay=2, fifo=False),
-            LossyNetworkFactory(loss_rate=0.1, retransmit_after=2),
-            random_delay_network_factory(),
-            lossy_network_factory(),
+            MediumFactory(),
+            MediumFactory("fixed", delay=3),
+            MediumFactory("uniform", delay=2, fifo=False),
+            MediumFactory("uniform", delay=4, stream=("network", "delay")),
+            MediumFactory("lossy", loss_rate=0.1),
         ):
             clone = pickle.loads(pickle.dumps(factory))
             assert clone == factory
 
     def test_factory_threads_the_trial_seed(self):
-        factory = random_delay_network_factory(max_delay=4)
+        factory = MediumFactory("uniform", delay=4)
         assert delivery_schedule(factory(21)) == delivery_schedule(
             factory(21)
         )
@@ -90,6 +91,17 @@ class TestFactories:
         )
 
     def test_pickled_factory_builds_identical_networks(self):
-        factory = lossy_network_factory(loss_rate=0.4)
+        factory = MediumFactory("lossy", loss_rate=0.4)
         clone = pickle.loads(pickle.dumps(factory))
         assert delivery_schedule(factory(5)) == delivery_schedule(clone(5))
+
+    def test_stream_selects_the_rng(self):
+        # A random medium draws from the stream it names, so the lockstep
+        # tables' "random" rows and the event tables' "uniform" rows keep
+        # their own schedules.
+        network = MediumFactory("uniform", delay=4, stream=("network", "delay"))
+        events = MediumFactory("uniform", delay=4)
+        assert delivery_schedule(network(9)) != delivery_schedule(events(9))
+        assert delivery_schedule(events(9)) == delivery_schedule(
+            random_delay(4, seed=9)
+        )
