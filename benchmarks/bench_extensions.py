@@ -70,7 +70,7 @@ def test_multi_variable_awc(benchmark, divisor):
     )
     from repro.runtime.metrics import MetricsCollector
     from repro.runtime.random_source import derive_seed
-    from repro.runtime.simulator import SynchronousSimulator
+    from repro.runtime.simulator import Simulator
 
     problems = instances_for("d3c", N, INSTANCES, SEED)
     method = learning_method("Rslv")
@@ -92,7 +92,7 @@ def test_multi_variable_awc(benchmark, divisor):
                     random_initial_assignment(hosted, seed),
                 )
                 cell.trials.append(
-                    SynchronousSimulator(
+                    Simulator(
                         hosted,
                         agents,
                         max_cycles=SCALE.max_cycles,

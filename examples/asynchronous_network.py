@@ -5,8 +5,8 @@ Two experiments in one script:
 1. The paper designs AWC for *fully asynchronous* systems and evaluates it
    on a synchronous simulator for convenience. Here we run the same agents
    on a medium with random per-message delays (with and without FIFO
-   channels), on the lockstep and on the event-driven engine, and confirm
-   they still converge to correct solutions.
+   channels), counting cycles as lockstep time units and as epochs, and
+   confirm they still converge to correct solutions.
 
 2. The Figure 2 question: given measured (cycle, maxcck), at what
    communication delay does AWC+4thRslv overtake DB? We measure both on a
@@ -38,7 +38,7 @@ def main() -> None:
         ("delay ≤ 3, FIFO", delayed_network(3, True), "sync"),
         ("delay ≤ 3, reordering", delayed_network(3, False), "sync"),
         ("delay ≤ 8, reordering", delayed_network(8, False), "sync"),
-        ("delay ≤ 3, FIFO, event engine", delayed_network(3, True), "events"),
+        ("delay ≤ 3, FIFO, epoch clock", delayed_network(3, True), "events"),
     ]:
         result = run_trial(
             problem, awc("Rslv"), seed=2, medium=medium, backend=backend

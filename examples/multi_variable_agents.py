@@ -10,7 +10,7 @@ fewer communication cycles are spent.
 Run:  python examples/multi_variable_agents.py
 """
 
-from repro import DisCSP, MetricsCollector, SynchronousSimulator, learning_method
+from repro import DisCSP, MetricsCollector, Simulator, learning_method
 from repro.algorithms import build_multi_awc_agents
 from repro.problems.coloring import coloring_csp, random_coloring_instance
 
@@ -24,7 +24,7 @@ def run_with_agents(csp, num_agents, seed=0):
     agents = build_multi_awc_agents(
         problem, learning_method("Rslv"), metrics, seed
     )
-    result = SynchronousSimulator(problem, agents, metrics=metrics).run()
+    result = Simulator(problem, agents, metrics=metrics).run()
     assert result.solved, f"{num_agents} agents failed"
     assert problem.is_solution(result.assignment)
     return result

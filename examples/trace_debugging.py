@@ -9,7 +9,7 @@ confidence intervals.
 Run:  python examples/trace_debugging.py
 """
 
-from repro import MetricsCollector, SynchronousSimulator, learning_method
+from repro import MetricsCollector, Simulator, learning_method
 from repro.algorithms import build_awc_agents
 from repro.analysis import (
     phase_profile,
@@ -35,7 +35,7 @@ def main() -> None:
         problem, learning_method("Rslv"), metrics, seed=1
     )
     tracer = TraceRecorder()
-    result = SynchronousSimulator(
+    result = Simulator(
         problem, agents, metrics=metrics, tracer=tracer
     ).run()
     assert result.solved

@@ -96,7 +96,7 @@ from .runtime import (
     MediumFactory,
     MetricsCollector,
     RunResult,
-    SynchronousSimulator,
+    Simulator,
     derive_rng,
     derive_seed,
 )
@@ -138,9 +138,9 @@ __all__ = [
     "RunResult",
     "Scale",
     "SimulationError",
+    "Simulator",
     "SizeBoundedResolventLearning",
     "SolverError",
-    "SynchronousSimulator",
     "Table",
     "UnsolvableError",
     "abt",

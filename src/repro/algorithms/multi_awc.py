@@ -148,10 +148,9 @@ class MultiVariableAwcAgent(SimulatedAgent):
     def has_pending_work(self) -> bool:
         """Carryover left by a capped intra-round drain awaits another step.
 
-        The synchronous simulator revisits every agent each cycle, so a
-        ``intra_round_cap`` overflow is retried automatically; the
-        event-driven engine activates only on mail and needs this signal to
-        schedule a wakeup.
+        The simulator steps agents only on mail, so an ``intra_round_cap``
+        overflow needs this signal to get a wakeup at the next time unit
+        (and to keep the run from counting as quiescent).
         """
         return bool(self._carryover)
 

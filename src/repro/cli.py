@@ -61,9 +61,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         choices=("sync", "events"),
         default="sync",
         help=(
-            "trial execution engine: the paper's lockstep cycle simulator "
-            "or the discrete-event engine (in parity mode the tables are "
-            "identical; see docs/api.md on repro.runtime.events)"
+            "what a cycle is: one time unit (the paper's lockstep cycles) "
+            "or one epoch of the event loop (in parity mode the tables are "
+            "identical; see EXPERIMENTS.md)"
         ),
     )
     _add_store_option(parser)
@@ -580,8 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("sync", "events"),
         default="sync",
-        help="execution engine (sync: lockstep cycles, events: "
-        "discrete-event; default sync)",
+        help="what a cycle is (sync: one time unit, events: one "
+        "epoch; default sync)",
     )
     solve.add_argument(
         "--trace-jsonl",
@@ -738,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench",
         add_help=False,
-        help="smoke benchmarks: trial engine, event engine, lint "
+        help="smoke benchmarks: trial engine, sync vs events clock, lint "
         "analyzer, interleaving verifier, retention subsystem, handler "
         "allocation churn (writes BENCH_*.json; see 'repro bench --help')",
     )

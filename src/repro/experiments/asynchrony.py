@@ -23,10 +23,10 @@ the reorder rows demonstrate the algorithms' tolerance to the harshest
 asynchrony (correctness is asserted, not assumed: every solved trial's
 assignment is verified).
 
-Either engine runs the sweep. On the lockstep engine a cycle is one time
-unit; on the event engine the ``cycle`` column counts epochs (distinct
-delivery times) and activation is mail-driven, so the two tables measure
-the same delay-tolerance question under two execution semantics. The
+Either clock runs the sweep. On the ``sync`` clock a cycle is one time
+unit; on the ``events`` clock the ``cycle`` column counts epochs (distinct
+delivery times), so the two tables measure the same delay-tolerance
+question under two cost semantics. The
 ``random`` and ``uniform`` specs differ only in the RNG stream they draw
 from (each keeps its own, so earlier tables reproduce exactly).
 """
@@ -40,8 +40,9 @@ from ..algorithms.registry import algorithm_by_name
 from ..core.exceptions import ModelError
 from ..runtime.network import MediumFactory
 from ..runtime.random_source import Seed, derive_seed
+from ..runtime.simulator import CLOCKS
 from .paper import Scale, instances_for, scale_from_environment
-from .runner import BACKENDS, CellResult, run_cell
+from .runner import CellResult, run_cell
 from .tables import Table, TableRow
 
 
@@ -118,7 +119,7 @@ def medium_model(spec: str) -> MediumModel:
     )
 
 
-#: The default grid of medium specs per engine.
+#: The default grid of medium specs per clock.
 DEFAULT_MEDIA = {
     "sync": (
         "sync",
@@ -135,7 +136,7 @@ DEFAULT_MEDIA = {
     ),
 }
 
-#: Table titles per engine.
+#: Table titles per clock.
 _TITLES = {
     "sync": "Extension: network models",
     "events": "Extension: event-driven transports",
@@ -153,14 +154,14 @@ def run_asynchrony_table(
 
     Uses the smallest coloring cell of *scale* so the sweep stays cheap:
     the point is the delay response, not the problem size. ``backend``
-    picks the engine; ``media`` defaults to that engine's
+    picks the clock; ``media`` defaults to that clock's
     :data:`DEFAULT_MEDIA` grid. On the events backend the ``cycle`` column
     counts epochs and ``maxcck`` sums per-epoch maxima, the logical-time
     analogues of the paper's measures (see ``EXPERIMENTS.md``).
     """
-    if backend not in BACKENDS:
+    if backend not in CLOCKS:
         raise ModelError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
+            f"unknown backend {backend!r}; expected one of {CLOCKS}"
         )
     if scale is None:
         scale = scale_from_environment()

@@ -9,9 +9,9 @@ Six axes:
 
 * ``--axis workers`` (default) — sequential vs the parallel engine;
   writes ``BENCH_trial_engine.json``.
-* ``--axis backend`` — the synchronous cycle simulator vs the
-  discrete-event engine in parity mode; identical results are the parity
-  guarantee, the wall-time ratio is the event loop's overhead. Writes
+* ``--axis backend`` — the simulator's sync clock vs its events clock in
+  parity mode; identical results are the parity guarantee, the wall-time
+  ratio is the cost of counting epochs. Writes
   ``BENCH_event_engine.json``.
 * ``--axis lint`` — two full-tree runs of the whole-program repro-lint
   analyzer (``src/`` + ``tests/``); identical findings are the
@@ -66,7 +66,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..algorithms.registry import algorithm_by_name
 from ..runtime.metrics import MetricsCollector
-from ..runtime.simulator import SynchronousSimulator
+from ..runtime.simulator import Simulator
 from .paper import instances_for
 from .parallel import run_cell_parallel
 from .runner import (
@@ -578,7 +578,7 @@ def _run_alloc_trial(problem, spec, seed, probe: _AllocProbe):
     agents = spec.build(problem, metrics, seed, initial)
     for agent in agents:
         probe.wrap(agent)
-    simulator = SynchronousSimulator(
+    simulator = Simulator(
         problem,
         agents,
         max_cycles=MAX_CYCLES,
@@ -837,7 +837,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
         default="workers",
         help="what to compare: sequential vs parallel execution, the "
-        "sync vs event-driven engines (both legs sequential), two "
+        "sync vs events clocks (both legs sequential), two "
         "passes of the whole-program lint analyzer, the interleaving "
         "verifier's schedule-exploration throughput, the nogood "
         "retention subsystem's parity and soak stream, or the "
@@ -905,8 +905,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.axis == "backend":
         output = args.output or str(repo_root / "BENCH_event_engine.json")
         print(
-            f"bench: {len(GRID)} cells, sync simulator vs "
-            "event-driven engine (parity mode, sequential)"
+            f"bench: {len(GRID)} cells, sync clock vs "
+            "events clock (parity mode, sequential)"
         )
         baseline_name, candidate_name = "sync", "events"
         baseline_rows, baseline_totals = run_grid(workers=1, backend="sync")
@@ -914,12 +914,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             workers=1, backend="events"
         )
         benchmark = "event_engine_smoke"
-        diverge_message = "event-driven results diverge from sync (parity)"
+        diverge_message = "events-clock results diverge from sync (parity)"
         note = (
             "both legs are sequential; identical results are the parity "
-            "guarantee of the unit-latency event engine, and the speedup "
-            "(sync wall time / events wall time) is the discrete-event "
-            "loop's overhead relative to lockstep cycles"
+            "guarantee of the unit-latency medium, and the speedup "
+            "(sync wall time / events wall time) is the events clock's "
+            "overhead relative to lockstep cycles"
         )
         extra = {}
     else:

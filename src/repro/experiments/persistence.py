@@ -67,8 +67,8 @@ def run_result_from_dict(data: Dict) -> RunResult:
             wall_time=data.get("wall_time", 0.0),
             sim_time=data.get("sim_time", data.get("wall_time", 0.0)),
             max_history=list(data.get("max_history", [])),
-            # Records written before the event-driven backend carry no
-            # logical time; for the sync backend it equals cycles.
+            # Records written before the events clock carry no logical
+            # time; on the sync clock it equals cycles.
             logical_time=data.get("logical_time", data["cycles"]),
         )
     except KeyError as missing:

@@ -27,15 +27,10 @@ from ..core.exceptions import ModelError
 from ..core.problem import DisCSP
 from ..core.store import STORE_BACKENDS, store_class_by_name
 from ..core.variables import Value, VariableId
-from ..runtime.events import EventDrivenSimulator
 from ..runtime.metrics import MetricsCollector
 from ..runtime.network import MediumFactory, Network
 from ..runtime.random_source import Seed, derive_rng, derive_seed
-from ..runtime.simulator import (
-    DEFAULT_MAX_CYCLES,
-    RunResult,
-    SynchronousSimulator,
-)
+from ..runtime.simulator import DEFAULT_MAX_CYCLES, RunResult, Simulator
 
 if TYPE_CHECKING:
     from ..runtime.trace import TraceRecorder
@@ -43,10 +38,6 @@ if TYPE_CHECKING:
 #: Builds a fresh medium per trial (latency models carry per-trial RNG
 #: state); :class:`~repro.runtime.network.MediumFactory` is the picklable one.
 MediumBuilder = Callable[[Seed], Network]
-
-#: The trial-execution backends: the paper's lockstep cycle simulator and
-#: the discrete-event asynchronous engine (see :mod:`repro.runtime.events`).
-BACKENDS = ("sync", "events")
 
 
 def random_initial_assignment(
@@ -73,12 +64,13 @@ def run_trial(
 ) -> RunResult:
     """One trial: build agents, simulate, return the run's measurements.
 
-    ``backend`` selects the execution engine: ``"sync"`` (the paper's
-    lockstep cycle simulator) or ``"events"`` (the discrete-event engine).
-    ``medium`` builds the trial's message medium from the trial seed; either
-    engine runs on any medium. The default is the unit-latency
-    :class:`~repro.runtime.network.InProcessTransport`: the paper's
-    synchronous network, on which the events backend reproduces the sync
+    ``backend`` is the simulator's clock (see
+    :data:`~repro.runtime.simulator.CLOCKS`): ``"sync"`` counts a cycle
+    per time unit (the paper's lockstep cycles), ``"events"`` one per
+    epoch. ``medium`` builds the trial's message medium from the trial
+    seed; either clock runs on any medium. The default is the
+    unit-latency :class:`~repro.runtime.network.InProcessTransport`: the
+    paper's synchronous network, on which both clocks give the same
     results trial-for-trial (parity mode).
 
     ``store`` selects the nogood-store backend (``"dict"`` or
@@ -95,10 +87,6 @@ def run_trial(
     never evicted. ``None`` (and ``"keep-all"``) reproduce the paper's
     record-forever behaviour exactly.
     """
-    if backend not in BACKENDS:
-        raise ModelError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
     if store not in STORE_BACKENDS:
         raise ModelError(
             f"unknown store backend {store!r}; expected one of "
@@ -122,23 +110,14 @@ def run_trial(
         interner = NogoodInterner()
         for agent in agents:
             agent.attach_retention(policy_factory, interner)
-    network = (medium or MediumFactory())(seed)
-    if backend == "events":
-        return EventDrivenSimulator(
-            problem,
-            agents,
-            transport=network,
-            max_epochs=max_cycles,
-            metrics=metrics,
-            tracer=tracer,
-        ).run()
-    return SynchronousSimulator(
+    return Simulator(
         problem,
         agents,
-        network=network,
+        network=(medium or MediumFactory())(seed),
         max_cycles=max_cycles,
         metrics=metrics,
         tracer=tracer,
+        clock=backend,
     ).run()
 
 

@@ -48,7 +48,7 @@ from ..retention import (
 )
 from ..runtime.metrics import MetricsCollector
 from ..runtime.random_source import Seed, derive_rng, derive_seed
-from ..runtime.simulator import SynchronousSimulator
+from ..runtime.simulator import Simulator
 from .paper import instances_for
 
 #: Default stream length (the acceptance bar is a >= 200-episode stream).
@@ -350,7 +350,7 @@ def run_soak(
             metrics = MetricsCollector()
             for agent in population.agents:
                 agent.reset_episode(metrics, initial[agent.variable])
-            run = SynchronousSimulator(
+            run = Simulator(
                 problem,
                 population.agents,
                 max_cycles=max_cycles,

@@ -3,7 +3,7 @@
 The static rules (D4/P2/A1/A2) argue the runtime *should* be deterministic
 and causally ordered; this module checks the claim against runtime
 evidence. It replays a :class:`~repro.runtime.trace.TraceRecorder` JSONL
-file and asserts the invariants the event-driven runtime promises:
+file and asserts the invariants the simulator promises:
 
 * **Clock monotonicity** — the logical timestamps of the merged event log
   never decrease (the Lamport-style property: the recorder emits events in
@@ -25,8 +25,11 @@ file and asserts the invariants the event-driven runtime promises:
 
 A violation is a plain sentence with a 1-based line number, suitable for
 printing next to lint findings; an empty list means the trace upholds
-every invariant it carries evidence for (a synchronous-simulator trace has
-no deliveries or sequences, so those checks are vacuous there).
+every invariant it carries evidence for. The simulator stamps every send
+with its sequence and records every delivery on either clock, so the
+causal-delivery and FIFO checks run on real evidence; a trace without
+sequences or deliveries (e.g. a hand-built one) is still accepted, with
+those checks vacuous.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 The paper's experiments run on a simulator of a synchronous distributed
 system; this package is that simulator, factored so the same agents run
-unchanged on delayed/asynchronous latency models and on the event engine.
+unchanged on delayed/asynchronous latency models, with a cycle counted
+either as one time unit or as one epoch.
 """
 
 from .agent import SimulatedAgent
@@ -25,9 +26,8 @@ from .network import (
     UniformLatency,
     UnitLatency,
 )
-from .events import EventDrivenSimulator
 from .random_source import derive_rng, derive_seed
-from .simulator import DEFAULT_MAX_CYCLES, RunResult, SynchronousSimulator
+from .simulator import CLOCKS, DEFAULT_MAX_CYCLES, RunResult, Simulator
 from .termination import (
     GlobalSolutionDetector,
     IncrementalSolutionDetector,
@@ -36,8 +36,8 @@ from .termination import (
 from .trace import MessageEvent, TraceRecorder, ValueChangeEvent
 
 __all__ = [
+    "CLOCKS",
     "DEFAULT_MAX_CYCLES",
-    "EventDrivenSimulator",
     "FixedLatency",
     "GlobalSolutionDetector",
     "IncrementalSolutionDetector",
@@ -56,7 +56,7 @@ __all__ = [
     "RequestValueMessage",
     "RunResult",
     "SimulatedAgent",
-    "SynchronousSimulator",
+    "Simulator",
     "TraceRecorder",
     "UniformLatency",
     "UnitLatency",

@@ -4,9 +4,12 @@ The simulator drives agents through exactly two entry points:
 
 * :meth:`SimulatedAgent.initialize` — called once at cycle 0; the agent
   chooses its initial value(s) and returns its first messages;
-* :meth:`SimulatedAgent.step` — called once per cycle with the messages
-  delivered this cycle; the agent updates its state and returns outgoing
-  messages, which the network will deliver in a later cycle.
+* :meth:`SimulatedAgent.step` — called with the messages delivered at one
+  time step; the agent updates its state and returns outgoing messages,
+  which the network will deliver at a later time step. The simulator steps
+  an agent only when it has mail or is owed a wakeup
+  (:meth:`SimulatedAgent.has_pending_work`), so ``step([])`` must be a
+  no-op for an agent without pending work.
 
 Agents never touch the network or other agents directly; all interaction is
 through returned :data:`~repro.runtime.messages.Outgoing` pairs. That
@@ -30,7 +33,7 @@ if TYPE_CHECKING:
 
 
 class SimulatedAgent(ABC):
-    """Base class for agents run by the synchronous simulator."""
+    """Base class for agents run by the simulator."""
 
     def __init__(self, agent_id: AgentId) -> None:
         self.id = agent_id
@@ -82,13 +85,13 @@ class SimulatedAgent(ABC):
     def has_pending_work(self) -> bool:
         """True when the agent needs another step even without new mail.
 
-        The synchronous simulator steps every agent every cycle, so an
-        agent with leftover internal work (e.g. the multi-variable AWC
-        agent's intra-round carryover queue) is always revisited. The
-        event-driven engine activates agents only on message arrival;
-        agents that buffer work across steps must override this so the
-        engine schedules a wakeup at the next timestamp. The default is
-        False: for agents whose ``step([])`` is a no-op, nothing is owed.
+        The simulator steps an agent only when mail arrives for it, on
+        either clock. An agent that buffers work across steps (e.g. the
+        multi-variable AWC agent's intra-round carryover queue) must
+        override this, and the simulator then wakes it at the next time
+        unit; while any agent is owed a wakeup the run is not quiescent.
+        The default is False: for agents whose ``step([])`` is a no-op,
+        nothing is owed.
         """
         return False
 

@@ -350,13 +350,14 @@ def _route(
         selector.register(
             mailbox.conn, selectors.EVENT_READ, (agent_id, mailbox)
         )
+    # The handshake read can pull an agent's first frames into its mailbox
+    # buffer along with its hello, and the selector reports only new socket
+    # data, so the first pass drains every mailbox instead of waiting.
+    events = [
+        (key, selectors.EVENT_READ) for key in selector.get_map().values()
+    ]
     try:
-        while not (solved or unsolvable or quiescent or capped):
-            now = time.perf_counter()
-            if now >= deadline:
-                capped = True
-                break
-            events = selector.select(timeout=min(0.05, deadline - now))
+        while True:
             progressed = False
             for key, _mask in events:
                 _agent_id, mailbox = key.data
@@ -390,6 +391,13 @@ def _route(
                     idle_since = time.perf_counter()
                 elif time.perf_counter() - idle_since >= _QUIESCENCE_GRACE:
                     quiescent = True
+            if solved or unsolvable or quiescent or capped:
+                break
+            now = time.perf_counter()
+            if now >= deadline:
+                capped = True
+                break
+            events = selector.select(timeout=min(0.05, deadline - now))
     finally:
         selector.close()
     reports = state.reported.values()

@@ -1,10 +1,9 @@
-"""The event engine's view of the message medium.
+"""The in-process message medium, re-exported for the event runtime.
 
-Both engines run on one in-process medium,
+Every simulated trial runs on one in-process medium,
 :class:`~repro.runtime.network.InProcessTransport`, with pluggable latency
-models; it lives in :mod:`repro.runtime.network` (the lockstep simulator
-imports it from there without importing the event runtime) and is
-re-exported here for the event runtime. The other media are the
+models; it lives in :mod:`repro.runtime.network` and is re-exported here
+next to the other media. The other media are the
 DPOR explorer's :class:`~repro.runtime.events.controlled.ScheduledTransport`
 and the multiprocess socket runner
 (:mod:`~repro.runtime.events.socket_transport`).

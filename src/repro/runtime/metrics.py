@@ -113,7 +113,7 @@ class MetricsCollector:
     def _drain_generations(self) -> None:
         """Merge pending per-agent logs into the global redundancy set.
 
-        Logs are folded in sorted-agent-id order. Both engines activate
+        Logs are folded in sorted-agent-id order. The simulator steps
         agents in sorted-id order within a cycle/epoch, so draining at a
         cycle boundary replays the exact global generation sequence the
         old collector saw with immediate recording — redundancy counts are

@@ -1,4 +1,4 @@
-"""The message medium: how messages move between agents, for both engines.
+"""The message medium: how messages move between agents.
 
 The paper's experiments run on "a simulator of a synchronous distributed
 system": in each cycle all agents read incoming messages, compute, and send,
@@ -7,11 +7,9 @@ notes that the algorithms are designed for fully asynchronous systems and
 should be analysed on other network types too. Both are one idea: a message
 takes some number of time units. This module builds it once.
 
-* :class:`Network` is the medium protocol both engines run on: the lockstep
-  :class:`~repro.runtime.simulator.SynchronousSimulator` calls
-  ``pop_due(cycle)`` every cycle, the discrete-event
-  :class:`~repro.runtime.events.engine.EventDrivenSimulator` jumps to
-  ``next_time()``.
+* :class:`Network` is the medium protocol the
+  :class:`~repro.runtime.simulator.Simulator` runs on: its loop jumps to
+  ``next_time()`` and pops what is due then with ``pop_due``.
 * :class:`InProcessTransport` is the in-process medium: calendar buckets of
   plain ``(time, sequence, sender, recipient, message)`` tuples keyed by
   arrival time, in send order.
@@ -62,14 +60,14 @@ class Delivery(NamedTuple):
 
 
 class Network(Protocol):
-    """What both engines require of a message medium.
+    """What the simulator requires of a message medium.
 
-    An engine calls :meth:`send` while running time ``now``; the medium
+    The simulator calls :meth:`send` while running time ``now``; the medium
     decides the arrival time, always after ``now``. :meth:`pop_due` returns
     what arrives exactly at ``now``, in send order, so runs are
-    reproducible for a fixed seed. Time never runs backwards: an engine
-    pops every time that :meth:`next_time` names (or every cycle) and never
-    sends at a time it has already popped.
+    reproducible for a fixed seed. Time never runs backwards: the
+    simulator pops every time that :meth:`next_time` names (and any time
+    an agent is woken) and never sends at a time it has already popped.
     """
 
     sent_count: int
@@ -136,7 +134,7 @@ class FixedLatency:
 
 class UnitLatency(FixedLatency):
     """Every message takes one time unit: the paper's synchronous medium,
-    and the event engine's parity mode."""
+    on which both clocks agree (parity mode)."""
 
     def __init__(self) -> None:
         super().__init__(1)

@@ -28,8 +28,8 @@ from .messages import Message
 class MessageEvent:
     """One message routed during a cycle.
 
-    ``sequence`` is the transport's monotone send counter when the backend
-    exposes one (the event engine); the synchronous simulator leaves it
+    ``sequence`` is the medium's monotone send counter, which the
+    simulator stamps on every message; a hand-built event may leave it
     None. It is what lets the trace validator pair each delivery with its
     send.
     """
@@ -50,12 +50,10 @@ class MessageEvent:
 
 @dataclass(frozen=True)
 class DeliveryEvent:
-    """One message handed to its recipient by the event-driven transport.
+    """One message handed to its recipient by the medium.
 
     ``cycle`` is the *arrival* timestamp; ``sequence`` identifies the send
-    it completes. Recorded only by the event engine — the synchronous
-    simulator's deliveries are implicit (everything sent in cycle *t*
-    arrives in *t + 1*).
+    it completes.
     """
 
     cycle: int
@@ -171,8 +169,8 @@ class TraceRecorder:
 
         Message events carry ``event: "message"``, the message's type name
         as ``kind``, and its fields flattened JSON-safe (nogoods become
-        sorted ``[variable, value]`` pair lists) — plus the transport send
-        ``sequence`` when the backend provides one. Deliveries carry
+        sorted ``[variable, value]`` pair lists) — plus the medium's send
+        ``sequence`` when the event carries one. Deliveries carry
         ``event: "delivery"`` stamped with the *arrival* cycle and the
         sequence of the send they complete. Value changes carry
         ``event: "value_change"``. A final ``event: "summary"`` record

@@ -2,7 +2,7 @@
 
 The static half (:mod:`repro.lint.effects` + rules R1/R2/R3) predicts which
 message handlers commute; this package *tests* those predictions by driving
-:class:`~repro.runtime.events.EventDrivenSimulator` through systematically
+:class:`~repro.runtime.simulator.Simulator` through systematically
 chosen delivery orders on a pinned corpus of small instances.
 
 * :mod:`repro.verify.corpus` — the pinned n≤8 coloring instances and the

@@ -3,7 +3,7 @@
 S1 (:mod:`repro.lint.rules_dist`) statically claims that everything
 crossing a process boundary — in particular every message payload — is
 free of unpicklable values. This module is the runtime half of that
-claim, in the same spirit as ``--check-trace`` for the event engine: it
+claim, in the same spirit as ``--check-trace`` for traces: it
 replays the verifier's pinned corpus (:data:`~repro.verify.corpus.
 PINNED_CORPUS`) with an observing tracer, pickle-round-trips **every
 payload actually sent**, and checks the observation against the static
@@ -39,8 +39,13 @@ class PayloadRecorder:
     def __init__(self) -> None:
         self.payloads: List[Message] = []
 
-    def on_message(self, cycle, sender, recipient, message) -> None:
+    def on_message(
+        self, cycle, sender, recipient, message, sequence=None
+    ) -> None:
         self.payloads.append(message)
+
+    def on_delivery(self, cycle, sequence, sender, recipient) -> None:
+        pass
 
     def on_cycle_end(self, cycle, assignment) -> None:
         pass

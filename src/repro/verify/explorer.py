@@ -59,12 +59,8 @@ from ..lint.effects import (
 )
 from ..lint.graph import ProjectGraph
 from ..runtime.agent import SimulatedAgent
-from ..runtime.events import (
-    Delivery,
-    EventDrivenSimulator,
-    ScheduledTransport,
-)
-from ..runtime.simulator import RunResult
+from ..runtime.events import Delivery, ScheduledTransport
+from ..runtime.simulator import RunResult, Simulator
 from .corpus import PINNED_CORPUS, CorpusEntry
 from .invariants import check_determinism, check_run
 
@@ -291,8 +287,12 @@ def run_schedule(
 ) -> Tuple[ScheduleRun, ScheduledTransport]:
     """Execute one interleaving and check its per-run invariants."""
     transport = ScheduledTransport(schedule=schedule)
-    simulator = EventDrivenSimulator(
-        problem, agents, transport=transport, max_epochs=max_epochs
+    simulator = Simulator(
+        problem,
+        agents,
+        network=transport,
+        max_cycles=max_epochs,
+        clock="events",
     )
     result = simulator.run()
     violations = check_run(problem, agents, result, transport.delivery_log)

@@ -26,13 +26,9 @@ from typing import Iterable, List, Sequence, Tuple
 from ..core.store import NogoodStore
 from ..core.problem import DisCSP
 from ..runtime.agent import SimulatedAgent
-from ..runtime.events import (
-    Delivery,
-    EventDrivenSimulator,
-    InProcessTransport,
-)
+from ..runtime.events import Delivery, InProcessTransport
 from ..runtime.messages import NogoodMessage
-from ..runtime.simulator import RunResult
+from ..runtime.simulator import RunResult, Simulator
 from ..runtime.termination import GlobalSolutionDetector
 from .corpus import CorpusEntry
 
@@ -107,11 +103,12 @@ def check_determinism(entry: CorpusEntry) -> List[str]:
 
 def _unit_latency_result(entry: CorpusEntry) -> RunResult:
     problem, agents = entry.build()
-    simulator = EventDrivenSimulator(
+    simulator = Simulator(
         problem,
         agents,
-        transport=InProcessTransport(),
-        max_epochs=entry.max_epochs,
+        network=InProcessTransport(),
+        max_cycles=entry.max_epochs,
+        clock="events",
     )
     return simulator.run()
 

@@ -12,7 +12,7 @@ from repro.learning import learning_method
 from repro.problems.coloring import coloring_csp, random_coloring_instance
 from repro.problems.graphs import Graph
 from repro.runtime.metrics import MetricsCollector
-from repro.runtime.simulator import SynchronousSimulator
+from repro.runtime.simulator import Simulator
 
 from ..conftest import clique_graph, triangle_graph
 
@@ -26,7 +26,7 @@ def run_multi(problem, seed=0, max_cycles=5000, intra_round_cap=50):
         seed,
         intra_round_cap=intra_round_cap,
     )
-    return SynchronousSimulator(
+    return Simulator(
         problem, agents, max_cycles=max_cycles, metrics=metrics
     ).run()
 

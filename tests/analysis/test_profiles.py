@@ -40,14 +40,14 @@ class TestPhaseProfile:
         from repro.learning import learning_method
         from repro.problems.sat import sat_to_discsp, unique_solution_3sat
         from repro.runtime.metrics import MetricsCollector
-        from repro.runtime.simulator import SynchronousSimulator
+        from repro.runtime.simulator import Simulator
 
         problem = sat_to_discsp(unique_solution_3sat(20, seed=2).formula)
         metrics = MetricsCollector(keep_history=True)
         agents = build_awc_agents(
             problem, learning_method("Rslv"), metrics, seed=4
         )
-        result = SynchronousSimulator(
+        result = Simulator(
             problem, agents, metrics=metrics
         ).run()
         assert result.solved

@@ -25,7 +25,7 @@ from repro.runtime.network import (
     UniformLatency,
 )
 from repro.runtime.random_source import derive_rng
-from repro.runtime.simulator import SynchronousSimulator
+from repro.runtime.simulator import Simulator
 from repro.runtime.trace import TraceRecorder
 
 
@@ -52,7 +52,7 @@ class TestMultiVariableOnSlowNetworks:
             problem, learning_method("Rslv"), metrics, seed=5,
             initial_assignment=random_initial_assignment(problem, 5),
         )
-        result = SynchronousSimulator(
+        result = Simulator(
             problem,
             agents,
             network=make_medium(),
@@ -97,7 +97,7 @@ class TestTracedDelayedRun:
             initial_assignment=random_initial_assignment(problem, 1),
         )
         tracer = TraceRecorder()
-        result = SynchronousSimulator(
+        result = Simulator(
             problem,
             agents,
             network=InProcessTransport(FixedLatency(2)),

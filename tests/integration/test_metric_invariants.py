@@ -13,7 +13,7 @@ from repro.algorithms.registry import abt, algorithm_by_name, awc, db
 from repro.experiments.runner import random_initial_assignment
 from repro.problems.coloring import random_coloring_instance
 from repro.runtime.metrics import MetricsCollector
-from repro.runtime.simulator import SynchronousSimulator
+from repro.runtime.simulator import Simulator
 
 ALGORITHMS = ["AWC+Rslv", "AWC+Mcs", "AWC+No", "AWC+3rdRslv", "DB", "ABT"]
 
@@ -24,7 +24,7 @@ def run_with_history(problem, label, seed=3):
     agents = spec.build(
         problem, metrics, seed, random_initial_assignment(problem, seed)
     )
-    simulator = SynchronousSimulator(
+    simulator = Simulator(
         problem, agents, metrics=metrics, max_cycles=8000
     )
     result = simulator.run()

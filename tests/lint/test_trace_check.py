@@ -4,12 +4,15 @@ import json
 from pathlib import Path
 
 from repro.algorithms.registry import algorithm_by_name
+from repro.cli import main as repro_main
 from repro.experiments.runner import random_initial_assignment
 from repro.lint.cli import main as lint_main
 from repro.lint.trace_check import check_trace_file, check_trace_records
 from repro.problems.coloring import random_coloring_instance
-from repro.runtime.events import EventDrivenSimulator
+from repro.problems.sat.dimacs import write_dimacs
+from repro.problems.sat.generators import planted_3sat
 from repro.runtime.metrics import MetricsCollector
+from repro.runtime.simulator import Simulator
 from repro.runtime.trace import TraceRecorder
 
 TRACES = Path(__file__).parent / "fixtures" / "traces"
@@ -23,8 +26,8 @@ def record_events_run(tmp_path, seed=6):
         problem, metrics, seed, random_initial_assignment(problem, seed)
     )
     tracer = TraceRecorder()
-    result = EventDrivenSimulator(
-        problem, agents, metrics=metrics, tracer=tracer
+    result = Simulator(
+        problem, agents, metrics=metrics, tracer=tracer, clock="events"
     ).run()
     path = tmp_path / "trace.jsonl"
     with open(path, "w", encoding="utf-8") as handle:
@@ -65,6 +68,75 @@ class TestRoundTrip:
         bad = TRACES / "bad_clock.jsonl"
         assert lint_main(["--check-trace", str(bad)]) == 1
         assert "clock went backwards" in capsys.readouterr().out
+
+
+class TestSyncBackendTrace:
+    """``repro solve --trace-jsonl`` on the lockstep clock records every
+    send's sequence and every delivery, so the causal-delivery and FIFO
+    checks run on real evidence instead of passing vacuously."""
+
+    def record(self, tmp_path, capsys):
+        cnf = tmp_path / "planted.cnf"
+        write_dimacs(planted_3sat(12, seed=5).formula, cnf)
+        path = tmp_path / "sync.jsonl"
+        assert repro_main(
+            ["solve", str(cnf), "--backend", "sync",
+             "--trace-jsonl", str(path)]
+        ) == 0
+        assert "s SATISFIABLE" in capsys.readouterr().out
+        return path, [
+            json.loads(line) for line in path.read_text().splitlines()
+        ]
+
+    def test_trace_carries_sequences_and_deliveries(self, tmp_path, capsys):
+        path, records = self.record(tmp_path, capsys)
+        messages = [r for r in records if r["event"] == "message"]
+        deliveries = [r for r in records if r["event"] == "delivery"]
+        assert messages and deliveries
+        assert all("sequence" in record for record in messages)
+        sent = {record["sequence"]: record["cycle"] for record in messages}
+        # Unit latency: each delivery lands one cycle after its send.
+        assert all(
+            record["cycle"] == sent[record["sequence"]] + 1
+            for record in deliveries
+        )
+        assert records[-1]["deliveries"] == len(deliveries)
+        assert check_trace_file(str(path)) == []
+
+    def test_delivery_checks_are_live(self, tmp_path, capsys):
+        path, records = self.record(tmp_path, capsys)
+        deliveries = [r for r in records if r["event"] == "delivery"]
+        # A delivery that names no send breaks causal delivery.
+        unsent = json.loads(json.dumps(records))
+        next(r for r in unsent if r["event"] == "delivery")["sequence"] = -1
+        assert any(
+            "delivery" in violation
+            for violation in self.violations(tmp_path, unsent)
+        )
+        # Two same-channel deliveries in swapped order break FIFO.
+        by_channel = {}
+        for record in deliveries:
+            by_channel.setdefault(
+                (record["sender"], record["recipient"]), []
+            ).append(record)
+        first, second = next(
+            pair[:2] for pair in by_channel.values() if len(pair) > 1
+        )
+        first["sequence"], second["sequence"] = (
+            second["sequence"], first["sequence"],
+        )
+        assert any(
+            "FIFO violation" in violation
+            for violation in self.violations(tmp_path, records)
+        )
+
+    @staticmethod
+    def violations(tmp_path, records):
+        corrupted = tmp_path / "corrupted.jsonl"
+        corrupted.write_text(
+            "\n".join(json.dumps(record) for record in records) + "\n"
+        )
+        return check_trace_file(str(corrupted))
 
 
 class TestCorruptedFixtures:
@@ -122,8 +194,8 @@ class TestRecordChecks:
         assert any("not valid JSON" in v for v in violations)
 
     def test_sync_backend_trace_remains_valid(self):
-        # No sequences, no deliveries — those checks are vacuous, the
-        # remaining invariants still hold.
+        # A trace without sequences or deliveries still validates: those
+        # checks are vacuous, the remaining invariants hold.
         records = [
             (1, {"event": "message", "cycle": 0, "sender": 1, "recipient": 2}),
             (2, {"event": "summary", "messages": 1, "value_changes": 0,

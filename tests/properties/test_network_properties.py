@@ -97,7 +97,7 @@ class TestConservation:
     @given(network_and_traffic())
     @settings(max_examples=60, deadline=None)
     def test_event_driven_pops_arrive_in_time_and_send_order(self, scenario):
-        """The event engine's view: jump to next_time(), pop what is due.
+        """The simulator's view: jump to next_time(), pop what is due.
 
         Every message arrives once, no earlier than one unit after its
         send, stamped with the time it is popped at, and each pop is in

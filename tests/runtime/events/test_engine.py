@@ -1,4 +1,4 @@
-"""The event-driven simulator's semantics: termination, activation, tracing."""
+"""The simulator on its events clock: termination, validation, tracing."""
 
 import pytest
 
@@ -6,12 +6,9 @@ from repro.algorithms.registry import algorithm_by_name
 from repro.core.exceptions import SimulationError
 from repro.experiments.runner import random_initial_assignment
 from repro.problems.coloring import random_coloring_instance
-from repro.runtime.events import (
-    EventDrivenSimulator,
-    InProcessTransport,
-    UniformLatency,
-)
+from repro.runtime.events import InProcessTransport, UniformLatency
 from repro.runtime.metrics import MetricsCollector
+from repro.runtime.simulator import Simulator
 from repro.runtime.trace import TraceRecorder
 
 
@@ -20,7 +17,9 @@ def build(problem, label="AWC+Rslv", seed=0, **kwargs):
     agents = algorithm_by_name(label).build(
         problem, metrics, seed, random_initial_assignment(problem, seed)
     )
-    return EventDrivenSimulator(problem, agents, metrics=metrics, **kwargs)
+    return Simulator(
+        problem, agents, metrics=metrics, clock="events", **kwargs
+    )
 
 
 class TestTermination:
@@ -37,7 +36,7 @@ class TestTermination:
 
     def test_epoch_cap(self):
         problem = random_coloring_instance(12, seed=8).to_discsp()
-        result = build(problem, seed=2, max_epochs=1).run()
+        result = build(problem, seed=2, max_cycles=1).run()
         assert result.capped and result.cycles == 1
 
     def test_lucky_initial_assignment_costs_zero_epochs(self):
@@ -55,26 +54,12 @@ class TestTermination:
         transport = InProcessTransport(
             latency=UniformLatency(max_delay=4, seed=5)
         )
-        result = build(problem, seed=3, transport=transport).run()
+        result = build(problem, seed=3, network=transport).run()
         assert result.solved
         assert problem.is_solution(result.assignment)
         # Epochs are distinct timestamps, so the clock can only run ahead
         # of (or level with) the epoch count.
         assert result.logical_time >= result.cycles
-
-
-class TestActivation:
-    def test_all_mode_matches_mail_mode_in_parity(self):
-        problem = random_coloring_instance(12, seed=8).to_discsp()
-        mail = build(problem, seed=4, activation="mail").run()
-        lockstep = build(problem, seed=4, activation="all").run()
-        assert (mail.solved, mail.cycles, mail.assignment) == (
-            lockstep.solved, lockstep.cycles, lockstep.assignment,
-        )
-
-    def test_unknown_mode_rejected(self, triangle_3col):
-        with pytest.raises(SimulationError, match="activation"):
-            build(triangle_3col, activation="never")
 
 
 class TestValidation:
@@ -87,11 +72,22 @@ class TestValidation:
             random_initial_assignment(triangle_3col, 0),
         )
         with pytest.raises(SimulationError, match="do not match"):
-            EventDrivenSimulator(triangle_2col, agents[:2], metrics=metrics)
+            Simulator(triangle_2col, agents[:2], metrics=metrics)
 
     def test_max_epochs_must_be_positive(self, triangle_3col):
-        with pytest.raises(SimulationError, match="max_epochs"):
-            build(triangle_3col, max_epochs=0)
+        # On the events clock a cycle is an epoch, so max_cycles caps epochs.
+        with pytest.raises(SimulationError, match="max_cycles"):
+            build(triangle_3col, max_cycles=0)
+
+    def test_unknown_clock_rejected(self, triangle_3col):
+        agents = algorithm_by_name("AWC+Rslv").build(
+            triangle_3col,
+            MetricsCollector(),
+            0,
+            random_initial_assignment(triangle_3col, 0),
+        )
+        with pytest.raises(SimulationError, match="clock"):
+            Simulator(triangle_3col, agents, clock="never")
 
 
 class TestTracing:

@@ -1,9 +1,9 @@
-"""Parity: the event backend reproduces the synchronous simulator.
+"""Parity: the events clock reproduces the lockstep (sync) clock.
 
-The acceptance bar of the event-driven runtime: with the default
-unit-latency in-process transport, every measure the paper reports —
-``solved``, ``cycles``, ``maxcck``, plus checks, message counts and the
-final assignment — matches the synchronous backend trial-for-trial, on the
+With the default unit-latency in-process transport no time unit is idle,
+so counting cycles as epochs or as time units must agree: every measure
+the paper reports — ``solved``, ``cycles``, ``maxcck``, plus checks,
+message counts and the final assignment — matches trial-for-trial, on the
 paper's 3-coloring and 3SAT benchmark families, both sequentially and
 under ``--jobs N`` process pools.
 """
@@ -17,10 +17,9 @@ from repro.experiments.paper import instances_for
 from repro.experiments.runner import run_cell, run_trial
 from repro.learning import learning_method
 from repro.problems.coloring import coloring_csp, random_coloring_instance
-from repro.runtime.events import EventDrivenSimulator
 from repro.runtime.metrics import MetricsCollector
 from repro.runtime.random_source import derive_seed
-from repro.runtime.simulator import SynchronousSimulator
+from repro.runtime.simulator import Simulator
 
 
 def measures(result):
@@ -83,8 +82,8 @@ class TestCellParity:
 class TestTrialParity:
     def test_multi_variable_agents_match(self):
         # The multi-variable AWC agent holds internal carryover work when
-        # the intra-round cap is hit; the engine's wakeup events keep it
-        # running without fresh mail, preserving parity.
+        # the intra-round cap is hit; wakeups keep it running without
+        # fresh mail on either clock, preserving parity.
         instance = random_coloring_instance(12, seed=5)
         csp = coloring_csp(instance.graph, 3)
         problem = DisCSP(
@@ -92,9 +91,7 @@ class TestTrialParity:
         )
         for seed in (1, 2):
             runs = []
-            for simulator_class in (
-                SynchronousSimulator, EventDrivenSimulator,
-            ):
+            for clock in ("sync", "events"):
                 metrics = MetricsCollector()
                 agents = build_multi_awc_agents(
                     problem,
@@ -104,7 +101,9 @@ class TestTrialParity:
                     intra_round_cap=2,
                 )
                 runs.append(
-                    simulator_class(problem, agents, metrics=metrics).run()
+                    Simulator(
+                        problem, agents, metrics=metrics, clock=clock
+                    ).run()
                 )
             assert measures(runs[0]) == measures(runs[1])
 

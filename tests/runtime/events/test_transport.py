@@ -1,4 +1,4 @@
-"""The in-process medium seen from the event engine: ordering, FIFO clamp,
+"""The in-process medium seen from the simulator: ordering, FIFO clamp,
 latency models, the per-trial factory."""
 
 import pickle

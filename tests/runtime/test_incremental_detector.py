@@ -10,7 +10,7 @@ from repro.core.problem import DisCSP
 from repro.learning import learning_method
 from repro.problems.coloring import random_coloring_instance
 from repro.runtime.metrics import MetricsCollector
-from repro.runtime.simulator import SynchronousSimulator
+from repro.runtime.simulator import Simulator
 from repro.runtime.termination import (
     GlobalSolutionDetector,
     IncrementalSolutionDetector,
@@ -23,7 +23,10 @@ class AssignmentRecorder:
     def __init__(self):
         self.assignments = []
 
-    def on_message(self, cycle, sender, recipient, message):
+    def on_message(self, cycle, sender, recipient, message, sequence=None):
+        pass
+
+    def on_delivery(self, cycle, sequence, sender, recipient):
         pass
 
     def on_cycle_end(self, cycle, assignment):
@@ -37,7 +40,7 @@ def recorded_run(n=10, seed=3, algorithm_seed=0):
         problem, learning_method("Rslv"), metrics, algorithm_seed
     )
     recorder = AssignmentRecorder()
-    simulator = SynchronousSimulator(
+    simulator = Simulator(
         problem, agents, metrics=metrics, tracer=recorder
     )
     result = simulator.run()
@@ -112,7 +115,7 @@ class TestObservationalPurity:
             agents = build_awc_agents(
                 problem, learning_method("Rslv"), metrics, 0
             )
-            simulator = SynchronousSimulator(
+            simulator = Simulator(
                 problem,
                 agents,
                 metrics=metrics,
@@ -135,7 +138,7 @@ class TestObservationalPurity:
         agents = build_awc_agents(
             problem, learning_method("Rslv"), metrics, 0
         )
-        simulator = SynchronousSimulator(problem, agents, metrics=metrics)
+        simulator = Simulator(problem, agents, metrics=metrics)
         assert isinstance(simulator.detector, IncrementalSolutionDetector)
 
     def test_sim_time_present_and_bounded_by_wall_time(self):

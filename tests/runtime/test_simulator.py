@@ -1,4 +1,5 @@
-"""The synchronous simulator: cycle semantics, termination, cost accounting."""
+"""The simulator on its lockstep clock: cycle semantics, termination, cost
+accounting."""
 
 from typing import Dict, List, Sequence
 
@@ -8,7 +9,7 @@ from repro.core import DisCSP, Nogood, integer_domain
 from repro.core.exceptions import SimulationError
 from repro.runtime.agent import SimulatedAgent
 from repro.runtime.messages import Message, OkMessage, Outgoing
-from repro.runtime.simulator import SynchronousSimulator
+from repro.runtime.simulator import Simulator
 from repro.runtime.termination import (
     GlobalSolutionDetector,
     collect_assignment,
@@ -24,7 +25,12 @@ def two_agent_problem():
 
 
 class ScriptedAgent(SimulatedAgent):
-    """An agent that plays back a fixed per-cycle script (for testing)."""
+    """An agent that plays back a fixed per-cycle script (for testing).
+
+    The simulator steps an agent only on mail or a wakeup, so the agent
+    reports pending work while its script has cycles left: it is then
+    stepped every cycle and its step count is the cycle number.
+    """
 
     def __init__(self, agent_id, variable, value, script=None):
         super().__init__(agent_id)
@@ -51,6 +57,12 @@ class ScriptedAgent(SimulatedAgent):
             self.fail_unsolvable("scripted failure")
         return list(action.get("send", []))
 
+    def has_pending_work(self) -> bool:
+        return any(
+            isinstance(cycle, int) and cycle > self.cycle
+            for cycle in self.script
+        )
+
     def local_assignment(self) -> Dict[int, int]:
         return {self.variable: self.value}
 
@@ -59,7 +71,7 @@ class TestTerminationModes:
     def test_initial_solution_costs_zero_cycles(self):
         problem = two_agent_problem()
         agents = [ScriptedAgent(0, 0, 1), ScriptedAgent(1, 1, 0)]
-        result = SynchronousSimulator(problem, agents).run()
+        result = Simulator(problem, agents).run()
         assert result.solved
         assert result.cycles == 0
 
@@ -74,14 +86,14 @@ class TestTerminationModes:
                 3: {"send": [(0, OkMessage(1, 1, 0))]},
             }),
         ]
-        result = SynchronousSimulator(problem, agents).run()
+        result = Simulator(problem, agents).run()
         assert result.solved
         assert result.cycles == 2
 
     def test_quiescence_without_solution_terminates(self):
         problem = two_agent_problem()
         agents = [ScriptedAgent(0, 0, 0), ScriptedAgent(1, 1, 0)]
-        result = SynchronousSimulator(problem, agents, max_cycles=100).run()
+        result = Simulator(problem, agents, max_cycles=100).run()
         assert not result.solved
         assert result.quiescent
         assert not result.capped
@@ -98,7 +110,7 @@ class TestTerminationModes:
             ScriptedAgent(0, 0, 0, script=ping),
             ScriptedAgent(1, 1, 0, script=pong),
         ]
-        result = SynchronousSimulator(problem, agents, max_cycles=10).run()
+        result = Simulator(problem, agents, max_cycles=10).run()
         assert result.capped
         assert result.cycles == 10
 
@@ -113,7 +125,7 @@ class TestTerminationModes:
                 "init": [(0, OkMessage(1, 1, 0))],
             }),
         ]
-        result = SynchronousSimulator(problem, agents).run()
+        result = Simulator(problem, agents).run()
         assert result.unsolvable
         assert not result.solved
 
@@ -126,7 +138,7 @@ class TestCycleSemantics:
             ScriptedAgent(0, 0, 0, script={"init": [(1, message)]}),
             ScriptedAgent(1, 1, 0),
         ]
-        simulator = SynchronousSimulator(problem, agents, max_cycles=5)
+        simulator = Simulator(problem, agents, max_cycles=5)
         simulator.run()
         receiver = agents[1]
         # Delivered at the first step, not at initialization.
@@ -146,7 +158,7 @@ class TestCycleSemantics:
                 2: {"checks": 9},
             }),
         ]
-        result = SynchronousSimulator(problem, agents, max_cycles=3).run()
+        result = Simulator(problem, agents, max_cycles=3).run()
         assert result.maxcck == 5 + 9
         assert result.total_checks == 17
 
@@ -156,7 +168,7 @@ class TestCycleSemantics:
             ScriptedAgent(0, 0, 1, script={"init": [(1, OkMessage(0, 0, 1))]}),
             ScriptedAgent(1, 1, 0),
         ]
-        result = SynchronousSimulator(problem, agents).run()
+        result = Simulator(problem, agents).run()
         assert result.messages_sent == 1
 
 
@@ -164,12 +176,12 @@ class TestValidation:
     def test_agents_must_match_problem(self):
         problem = two_agent_problem()
         with pytest.raises(SimulationError):
-            SynchronousSimulator(problem, [ScriptedAgent(0, 0, 0)])
+            Simulator(problem, [ScriptedAgent(0, 0, 0)])
 
     def test_duplicate_agent_ids_rejected(self):
         problem = two_agent_problem()
         with pytest.raises(SimulationError):
-            SynchronousSimulator(
+            Simulator(
                 problem, [ScriptedAgent(0, 0, 0), ScriptedAgent(0, 1, 0)]
             )
 
@@ -180,13 +192,13 @@ class TestValidation:
             ScriptedAgent(1, 1, 0),
         ]
         with pytest.raises(SimulationError):
-            SynchronousSimulator(problem, agents).run()
+            Simulator(problem, agents).run()
 
     def test_nonpositive_cycle_cap_rejected(self):
         problem = two_agent_problem()
         agents = [ScriptedAgent(0, 0, 0), ScriptedAgent(1, 1, 0)]
         with pytest.raises(SimulationError):
-            SynchronousSimulator(problem, agents, max_cycles=0)
+            Simulator(problem, agents, max_cycles=0)
 
 
 class TestDetectors:

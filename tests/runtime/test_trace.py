@@ -5,7 +5,7 @@ from repro.learning import learning_method
 from repro.problems.coloring import random_coloring_instance
 from repro.runtime.messages import NogoodMessage, OkMessage
 from repro.runtime.metrics import MetricsCollector
-from repro.runtime.simulator import SynchronousSimulator
+from repro.runtime.simulator import Simulator
 from repro.runtime.trace import (
     MessageEvent,
     TraceRecorder,
@@ -20,7 +20,7 @@ def traced_run(seed=0, max_events=100_000):
         problem, learning_method("Rslv"), metrics, seed
     )
     tracer = TraceRecorder(max_events=max_events)
-    simulator = SynchronousSimulator(
+    simulator = Simulator(
         problem, agents, metrics=metrics, tracer=tracer
     )
     result = simulator.run()
@@ -49,7 +49,7 @@ class TestRecording:
         agents = build_awc_agents(
             problem, learning_method("Rslv"), metrics, 1
         )
-        untraced = SynchronousSimulator(
+        untraced = Simulator(
             problem, agents, metrics=metrics
         ).run()
         assert traced.cycles == untraced.cycles
